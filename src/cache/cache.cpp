@@ -17,7 +17,15 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   if (!std::has_single_bit(num_sets_)) {
     throw std::invalid_argument("Cache: set count must be a power of two");
   }
-  sets_.assign(num_sets_, std::vector<Line>(cfg_.ways));
+  // Aligning the tags to a host cache line puts each 16-way set's tags in
+  // exactly two host cache lines.
+  constexpr std::size_t kHostLineWords = 64 / sizeof(std::uint64_t);
+  tag_block_.assign(lines + kHostLineWords - 1, 0);
+  const auto misalign = reinterpret_cast<std::uintptr_t>(tag_block_.data()) /
+                        sizeof(std::uint64_t) % kHostLineWords;
+  tag_offset_ = (kHostLineWords - misalign) % kHostLineWords;
+  stamps_.assign(lines, 0);
+  meta_.assign(lines, 0);
 }
 
 std::uint32_t Cache::set_index(std::uint64_t line_addr) const {
@@ -28,91 +36,70 @@ std::uint32_t Cache::set_index(std::uint64_t line_addr) const {
   return static_cast<std::uint32_t>(h & (num_sets_ - 1));
 }
 
-Cache::Line* Cache::find(std::uint64_t line_addr) {
-  auto& set = sets_[set_index(line_addr)];
-  for (auto& line : set) {
-    if (line.valid && line.addr == line_addr) return &line;
+Cache::Lookup Cache::lookup(std::uint64_t line_addr) const {
+  Lookup where;
+  where.base_ = std::size_t{set_index(line_addr)} * cfg_.ways;
+  const std::uint64_t* tags = this->tags() + where.base_;
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    if (tags[w] == line_addr && (meta_[where.base_ + w] & kValid)) {
+      where.way_ = w;
+      break;
+    }
   }
-  return nullptr;
+  return where;
 }
 
-const Cache::Line* Cache::find(std::uint64_t line_addr) const {
-  const auto& set = sets_[set_index(line_addr)];
-  for (const auto& line : set) {
-    if (line.valid && line.addr == line_addr) return &line;
+void Cache::allocate(std::size_t base, std::uint64_t line_addr,
+                     std::uint8_t meta, AccessResult& result) {
+  const std::uint8_t* set_meta = meta_.data() + base;
+  const std::uint64_t* set_stamps = stamps_.data() + base;
+  std::uint32_t victim = 0;
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    if (!(set_meta[w] & kValid)) {
+      victim = w;
+      break;
+    }
+    if (set_stamps[w] < set_stamps[victim]) victim = w;
   }
-  return nullptr;
+  const std::size_t slot = base + victim;
+  const std::uint8_t old = meta_[slot];
+  if ((old & (kValid | kDirty)) == (kValid | kDirty)) {
+    result.writeback = true;
+    result.victim_addr = tags()[slot];
+    result.victim_kind = static_cast<LineKind>(old >> kKindShift);
+    ++stats_.writebacks;
+  }
+  tags()[slot] = line_addr;
+  stamps_[slot] = tick_;
+  meta_[slot] = meta;
 }
 
-AccessResult Cache::access(std::uint64_t line_addr, bool is_write,
-                           LineKind kind) {
+AccessResult Cache::access(const Lookup& where, std::uint64_t line_addr,
+                           bool is_write, LineKind kind) {
   ++tick_;
   AccessResult result;
-  if (Line* line = find(line_addr)) {
+  if (where.hit()) {
+    const std::size_t slot = where.base_ + where.way_;
     result.hit = true;
-    line->lru = tick_;
-    line->dirty = line->dirty || is_write;
-    line->kind = kind;
+    stamps_[slot] = tick_;
+    meta_[slot] = meta_of((meta_[slot] & kDirty) || is_write, kind);
     ++stats_.hits;
     return result;
   }
   ++stats_.misses;
-
-  // Miss: allocate, evicting the LRU way.
-  auto& set = sets_[set_index(line_addr)];
-  Line* victim = &set[0];
-  for (auto& line : set) {
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) victim = &line;
-  }
-  if (victim->valid && victim->dirty) {
-    result.writeback = true;
-    result.victim_addr = victim->addr;
-    result.victim_kind = victim->kind;
-    ++stats_.writebacks;
-  }
-  victim->addr = line_addr;
-  victim->lru = tick_;
-  victim->kind = kind;
-  victim->valid = true;
-  victim->dirty = is_write;
+  allocate(where.base_, line_addr, meta_of(is_write, kind), result);
   return result;
 }
 
 AccessResult Cache::fill(std::uint64_t line_addr, LineKind kind) {
-  if (find(line_addr)) return AccessResult{.hit = true};
+  const Lookup where = lookup(line_addr);
+  if (where.hit()) return AccessResult{.hit = true};
   ++tick_;
   AccessResult result;
-  auto& set = sets_[set_index(line_addr)];
-  Line* victim = &set[0];
-  for (auto& line : set) {
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) victim = &line;
-  }
-  if (victim->valid && victim->dirty) {
-    result.writeback = true;
-    result.victim_addr = victim->addr;
-    result.victim_kind = victim->kind;
-    ++stats_.writebacks;
-  }
-  victim->addr = line_addr;
-  // Prefetched sibling fills insert at LRU-adjacent priority: they get the
-  // current tick like demand fills (simple and adequate for this model).
-  victim->lru = tick_;
-  victim->kind = kind;
-  victim->valid = true;
-  victim->dirty = false;
+  // Prefetched sibling fills get the current tick like demand fills
+  // (simple and adequate for this model).
+  allocate(where.base_, line_addr, meta_of(false, kind), result);
   return result;
-}
-
-bool Cache::contains(std::uint64_t line_addr) const {
-  return find(line_addr) != nullptr;
 }
 
 void Cache::attach_stats(stats::Registry& reg, const std::string& prefix) {
@@ -127,16 +114,6 @@ void Cache::attach_stats(stats::Registry& reg, const std::string& prefix) {
   });
   reg.gauge(prefix + ".hit_rate",
             [this](std::uint64_t) { return stats_.hit_rate(); });
-}
-
-bool Cache::invalidate(std::uint64_t line_addr) {
-  if (Line* line = find(line_addr)) {
-    const bool was_dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
-    return was_dirty;
-  }
-  return false;
 }
 
 }  // namespace eccsim::cache

@@ -133,7 +133,9 @@ void SystemSim::attach_stats() {
 
   mem_.attach_stats(reg, tracer_);
   llc_.attach_stats(reg, "llc");
-  if (dedicated_ecc_cache_) dedicated_ecc_cache_->attach_stats(reg, "ecc_cache");
+  if (dedicated_ecc_cache_) {
+    dedicated_ecc_cache_->attach_stats(reg, "ecc_cache");
+  }
   reg.gauge("cpu.committed_instructions", [this](std::uint64_t) {
     std::uint64_t total = 0;
     for (const auto& c : cores_) total += c.committed;
@@ -223,9 +225,11 @@ void SystemSim::finalize_stats() {
   }
 }
 
-bool SystemSim::bank_is_faulty(const dram::DramAddress& a) const {
+bool SystemSim::bank_is_faulty(std::uint64_t memline) const {
+  // Decode only when there are faulty banks to match against.
   if (opts_.faulty_banks.empty()) return false;
-  const std::uint32_t key = faulty_key(a);
+  const std::uint32_t key =
+      faulty_key(mem_.map().decode(capped_line(memline)));
   return std::find(opts_.faulty_banks.begin(), opts_.faulty_banks.end(),
                    key) != opts_.faulty_banks.end();
 }
@@ -262,7 +266,6 @@ dram::DramAddress SystemSim::ecc_line_address(std::uint64_t key) const {
 }
 
 void SystemSim::send_or_queue(const PendingReq& req) {
-  if (warmup_) return;  // cache state only; no memory traffic
   if (post_writer_) {
     // Post-LLC capture point: every request the memory system will see, in
     // issue order (drain_pending retries bypass this path, so a queued
@@ -297,30 +300,26 @@ bool SystemSim::request_read(std::uint64_t memline, int core) {
   id_to_memline_[id] = memline;
   auto& waiters = mshr_[memline];
   if (core >= 0) waiters.push_back(core);
-  const std::uint64_t capped =
-      memline % mem_.config().geometry().total_data_lines();
-  send_or_queue(PendingReq{mem_.map().decode(capped), false,
+  send_or_queue(PendingReq{mem_.map().decode(capped_line(memline)), false,
                            dram::LineClass::kData, id});
   return true;
 }
 
-void SystemSim::process_eviction(std::uint64_t victim_addr,
-                                 cache::LineKind kind) {
-  // Iterative worklist: ECC cacheline insertions can evict further lines.
-  std::deque<std::pair<std::uint64_t, cache::LineKind>> work;
-  work.emplace_back(victim_addr, kind);
-  while (!work.empty()) {
-    const auto [addr, k] = work.front();
-    work.pop_front();
-    switch (k) {
+void SystemSim::process_eviction(std::uint64_t addr, cache::LineKind kind) {
+  // Only a data victim can evict a further line, through its ECC/XOR
+  // cacheline insertion, so the eviction chain is a plain loop.  Request
+  // ids advance during warm-up too, though nothing is sent then.
+  for (;;) {
+    switch (kind) {
       case cache::LineKind::kData: {
         const std::uint64_t memline = mem_line_of(addr);
-        const std::uint64_t capped =
-            memline % mem_.config().geometry().total_data_lines();
-        const dram::DramAddress daddr = mem_.map().decode(capped);
-        send_or_queue(PendingReq{daddr, true, dram::LineClass::kData,
-                                 next_id_++});
-        if (scheme_.maint == ecc::MaintTraffic::kNone) break;
+        const std::uint64_t capped = capped_line(memline);
+        const std::uint64_t id = next_id_++;
+        if (!warmup_) {
+          send_or_queue(PendingReq{mem_.map().decode(capped), true,
+                                   dram::LineClass::kData, id});
+        }
+        if (scheme_.maint == ecc::MaintTraffic::kNone) return;
         // The write dirties the covering ECC/XOR cacheline (Fig. 7); a
         // faulty bank uses its materialized ECC line (step D) instead of
         // the parity's XOR line.
@@ -328,29 +327,38 @@ void SystemSim::process_eviction(std::uint64_t victim_addr,
             scheme_.maint == ecc::MaintTraffic::kWriteOnEvict
                 ? cache::LineKind::kEcc
                 : cache::LineKind::kXor;
-        if (scheme_.uses_ecc_parity && bank_is_faulty(daddr)) {
+        if (scheme_.uses_ecc_parity && bank_is_faulty(memline)) {
           ecc_kind = cache::LineKind::kEcc;
         }
         const std::uint64_t key = ecc_cacheline_key(capped);
         const auto r = ecc_cache().access(key, true, ecc_kind);
-        if (r.writeback) work.emplace_back(r.victim_addr, r.victim_kind);
+        if (!r.writeback) return;
+        addr = r.victim_addr;
+        kind = r.victim_kind;
         break;
       }
       case cache::LineKind::kEcc: {
         // Tier-2 / materialized ECC line: one memory write (Sec. IV-C).
-        send_or_queue(PendingReq{ecc_line_address(addr), true,
-                                 dram::LineClass::kEccOther, next_id_++});
-        break;
+        const std::uint64_t id = next_id_++;
+        if (!warmup_) {
+          send_or_queue(PendingReq{ecc_line_address(addr), true,
+                                   dram::LineClass::kEccOther, id});
+        }
+        return;
       }
       case cache::LineKind::kXor: {
         // Parity read-modify-write: read the old parity line, write the
         // updated one (Sec. IV-C).
-        const dram::DramAddress paddr = ecc_line_address(addr);
-        send_or_queue(PendingReq{paddr, false, dram::LineClass::kEccParity,
-                                 next_id_++});
-        send_or_queue(PendingReq{paddr, true, dram::LineClass::kEccParity,
-                                 next_id_++});
-        break;
+        const std::uint64_t read_id = next_id_++;
+        const std::uint64_t write_id = next_id_++;
+        if (!warmup_) {
+          const dram::DramAddress paddr = ecc_line_address(addr);
+          send_or_queue(PendingReq{paddr, false, dram::LineClass::kEccParity,
+                                   read_id});
+          send_or_queue(PendingReq{paddr, true, dram::LineClass::kEccParity,
+                                   write_id});
+        }
+        return;
       }
     }
   }
@@ -359,39 +367,41 @@ void SystemSim::process_eviction(std::uint64_t victim_addr,
 bool SystemSim::execute_op(unsigned c, const trace::MemOp& op) {
   Core& core = cores_[c];
   const std::uint64_t memline = mem_line_of(op.line);
-  const std::uint64_t capped =
-      memline % mem_.config().geometry().total_data_lines();
-  const dram::DramAddress daddr = mem_.map().decode(capped);
 
   if (!op.is_write) {
     // Read: an LLC miss occupies an MLP slot; refuse (and stall the core)
     // if none is free.
-    if (!warmup_ && !llc_.contains(op.line) &&
-        core.outstanding_reads >= cpu_.mlp) {
+    const cache::Cache::Lookup where = llc_.lookup(op.line);
+    if (!warmup_ && !where.hit() && core.outstanding_reads >= cpu_.mlp) {
       return false;
     }
-    const auto r = llc_.access(op.line, false, cache::LineKind::kData);
+    const auto r = llc_.access(where, op.line, false, cache::LineKind::kData);
     if (r.writeback) process_eviction(r.victim_addr, r.victim_kind);
     if (!r.hit && !warmup_) {
       ++core.outstanding_reads;
       request_read(memline, static_cast<int>(c));
     }
     // Step A1/B: reads to a faulty bank also need the ECC line (cached).
-    if (scheme_.uses_ecc_parity && bank_is_faulty(daddr)) {
+    if (scheme_.uses_ecc_parity && bank_is_faulty(memline)) {
+      const std::uint64_t capped = capped_line(memline);
       const std::uint64_t key = ecc_cacheline_key(capped) | kEccKeyTag;
       const auto er = ecc_cache().access(key, false, cache::LineKind::kEcc);
       if (er.writeback) process_eviction(er.victim_addr, er.victim_kind);
       if (!er.hit) {
-        send_or_queue(PendingReq{ecc_line_address(key & ~kEccKeyTag), false,
-                                 dram::LineClass::kEccCorrection,
-                                 next_id_++});
+        const std::uint64_t id = next_id_++;
+        if (!warmup_) {
+          send_or_queue(PendingReq{ecc_line_address(key & ~kEccKeyTag),
+                                   false, dram::LineClass::kEccCorrection,
+                                   id});
+        }
       }
       if (!warmup_) {
         if (slow_path_hits_) slow_path_hits_->inc();
         if (tracer_) {
           tracer_->instant(
               "eccparity", "fig6_slow_path", mem_.cycle(), ecc_trace_tid_,
-              {{"bank", static_cast<double>(faulty_key(daddr))},
+              {{"bank",
+                static_cast<double>(faulty_key(mem_.map().decode(capped)))},
                {"ecc_cached", er.hit ? 1.0 : 0.0}});
         }
       }
@@ -475,8 +485,8 @@ RunResult SystemSim::run() {
     // Interleave cores so shared-footprint (PARSEC-style) workloads warm
     // the cache the way they will run.  The full execute_op path runs --
     // including ECC/XOR cacheline insertion and eviction -- so the LLC
-    // reaches its steady-state mix of data and ECC lines; send_or_queue
-    // and request_read drop everything while warmup_ is set.
+    // reaches its steady-state mix of data and ECC lines; no memory
+    // request is issued (or address decoded) while warmup_ is set.
     for (std::uint64_t i = 0; i < warm_ops_per_core; ++i) {
       for (unsigned c = 0; c < cpu_.cores; ++c) {
         (void)execute_op(c, source_->next(c));

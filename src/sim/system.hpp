@@ -182,6 +182,10 @@ class SystemSim {
   std::uint64_t mem_line_of(std::uint64_t line64) const {
     return line64 / lines64_per_memline_;
   }
+  /// Folds a memory-line index into the memory system's data capacity.
+  std::uint64_t capped_line(std::uint64_t memline) const {
+    return memline % mem_.config().geometry().total_data_lines();
+  }
 
   void cpu_cycle();
   void core_cycle(unsigned c);
@@ -189,9 +193,11 @@ class SystemSim {
   /// (MLP exhausted or request queue full).
   bool execute_op(unsigned c, const trace::MemOp& op);
   /// Handles an LLC eviction (and the ECC traffic it triggers).
-  void process_eviction(std::uint64_t victim_addr, cache::LineKind kind);
+  void process_eviction(std::uint64_t addr, cache::LineKind kind);
   /// Demand read for a memory line; registers the waiting core (or none).
   bool request_read(std::uint64_t memline, int core);
+  /// Hands a request to the memory system, queueing it if the channel is
+  /// full.  Never called during warm-up, which moves no memory traffic.
   void send_or_queue(const PendingReq& req);
   void drain_pending();
   void handle_completions();
@@ -201,7 +207,8 @@ class SystemSim {
   std::uint64_t ecc_cacheline_key(std::uint64_t memline) const;
   /// The memory address of the ECC/parity line behind an ECC cacheline key.
   dram::DramAddress ecc_line_address(std::uint64_t key) const;
-  bool bank_is_faulty(const dram::DramAddress& a) const;
+  /// True if the memory line lies in a SimOptions::faulty_banks bank.
+  bool bank_is_faulty(std::uint64_t memline) const;
 
   /// The cache holding ECC/XOR lines: the LLC itself, or the optional
   /// dedicated ECC cache.

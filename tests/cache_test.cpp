@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/rng.hpp"
 
 namespace eccsim::cache {
 namespace {
@@ -14,6 +15,17 @@ CacheConfig tiny_cache() {
   cfg.line_bytes = 64;
   cfg.ways = 4;              // 16 sets
   return cfg;
+}
+
+/// Streams conflicting lines through `c` until `addr` is evicted; returns
+/// whether its eviction was a writeback (i.e. the line was dirty).
+bool evicted_dirty(Cache& c, std::uint64_t addr) {
+  for (std::uint64_t x = 1000; x < 1000 + 4096; ++x) {
+    const AccessResult r = c.access(x, false);
+    if (!c.contains(addr)) return r.writeback && r.victim_addr == addr;
+  }
+  ADD_FAILURE() << "line " << addr << " was never evicted";
+  return false;
 }
 
 TEST(Cache, ConfigValidation) {
@@ -89,7 +101,7 @@ TEST(Cache, FillDoesNotMarkDirty) {
   Cache c{tiny_cache()};
   c.fill(77);
   EXPECT_TRUE(c.contains(77));
-  EXPECT_FALSE(c.invalidate(77));  // returns dirty flag
+  EXPECT_FALSE(evicted_dirty(c, 77));
 }
 
 TEST(Cache, FillOnPresentLineIsNoop) {
@@ -97,7 +109,7 @@ TEST(Cache, FillOnPresentLineIsNoop) {
   c.access(77, true);
   const auto r = c.fill(77);
   EXPECT_TRUE(r.hit);
-  EXPECT_TRUE(c.invalidate(77));  // still dirty from the write
+  EXPECT_TRUE(evicted_dirty(c, 77));  // still dirty from the write
 }
 
 TEST(Cache, KindsAreTracked) {
@@ -112,27 +124,6 @@ TEST(Cache, KindsAreTracked) {
     }
   }
   EXPECT_TRUE(saw_xor_victim);
-}
-
-TEST(Cache, FlushWritesBackAllDirty) {
-  Cache c{tiny_cache()};
-  c.access(1, true, LineKind::kData);
-  c.access(2, true, LineKind::kEcc);
-  c.access(3, false);
-  std::vector<std::pair<std::uint64_t, LineKind>> flushed;
-  c.flush([&](std::uint64_t a, LineKind k) { flushed.emplace_back(a, k); });
-  EXPECT_EQ(flushed.size(), 2u);
-  EXPECT_FALSE(c.contains(1));
-  EXPECT_FALSE(c.contains(2));
-  EXPECT_FALSE(c.contains(3));
-}
-
-TEST(Cache, InvalidateRemovesLine) {
-  Cache c{tiny_cache()};
-  c.access(9, true);
-  EXPECT_TRUE(c.invalidate(9));
-  EXPECT_FALSE(c.contains(9));
-  EXPECT_FALSE(c.invalidate(9));
 }
 
 TEST(Cache, HitRateComputation) {
@@ -154,6 +145,182 @@ TEST(Cache, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup) {
   // A 64-line cache holding a 32-line working set may still conflict-miss
   // under hashed indexing, but the steady-state miss rate must be tiny.
   EXPECT_LE(c.stats().misses - misses_before, 32u);
+}
+
+// --- Differential test against the original array-of-structs model ------
+
+/// The LLC as it was before the structure-of-arrays tag store: one
+/// heap-allocated vector of 24-byte lines per set, true LRU by timestamp.
+/// Kept verbatim (less the unused operations) as the reference the
+/// production tag store must match access for access.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg) : cfg_(cfg) {
+    num_sets_ = static_cast<std::uint32_t>(cfg_.size_bytes / cfg_.line_bytes /
+                                           cfg_.ways);
+    sets_.assign(num_sets_, std::vector<Line>(cfg_.ways));
+  }
+
+  AccessResult access(std::uint64_t line_addr, bool is_write, LineKind kind) {
+    ++tick_;
+    AccessResult result;
+    if (Line* line = find(line_addr)) {
+      result.hit = true;
+      line->lru = tick_;
+      line->dirty = line->dirty || is_write;
+      line->kind = kind;
+      ++stats_.hits;
+      return result;
+    }
+    ++stats_.misses;
+    Line* victim = evict(line_addr, result);
+    victim->addr = line_addr;
+    victim->lru = tick_;
+    victim->kind = kind;
+    victim->valid = true;
+    victim->dirty = is_write;
+    return result;
+  }
+
+  AccessResult fill(std::uint64_t line_addr, LineKind kind) {
+    if (find(line_addr)) return AccessResult{.hit = true};
+    ++tick_;
+    AccessResult result;
+    Line* victim = evict(line_addr, result);
+    victim->addr = line_addr;
+    victim->lru = tick_;
+    victim->kind = kind;
+    victim->valid = true;
+    victim->dirty = false;
+    return result;
+  }
+
+  bool contains(std::uint64_t line_addr) { return find(line_addr) != nullptr; }
+  const Cache::Stats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    std::uint64_t addr = 0;
+    std::uint64_t lru = 0;
+    LineKind kind = LineKind::kData;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  std::vector<Line>& set_of(std::uint64_t line_addr) {
+    std::uint64_t h = line_addr * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+    return sets_[static_cast<std::uint32_t>(h & (num_sets_ - 1))];
+  }
+  Line* find(std::uint64_t line_addr) {
+    for (auto& line : set_of(line_addr)) {
+      if (line.valid && line.addr == line_addr) return &line;
+    }
+    return nullptr;
+  }
+  Line* evict(std::uint64_t line_addr, AccessResult& result) {
+    auto& set = set_of(line_addr);
+    Line* victim = &set[0];
+    for (auto& line : set) {
+      if (!line.valid) {
+        victim = &line;
+        break;
+      }
+      if (line.lru < victim->lru) victim = &line;
+    }
+    if (victim->valid && victim->dirty) {
+      result.writeback = true;
+      result.victim_addr = victim->addr;
+      result.victim_kind = victim->kind;
+      ++stats_.writebacks;
+    }
+    return victim;
+  }
+
+  CacheConfig cfg_;
+  std::uint32_t num_sets_;
+  std::vector<std::vector<Line>> sets_;
+  std::uint64_t tick_ = 0;
+  Cache::Stats stats_;
+};
+
+void expect_same(const AccessResult& got, const AccessResult& want,
+                 std::size_t step) {
+  ASSERT_EQ(got.hit, want.hit) << "step " << step;
+  ASSERT_EQ(got.writeback, want.writeback) << "step " << step;
+  if (want.writeback) {
+    ASSERT_EQ(got.victim_addr, want.victim_addr) << "step " << step;
+    ASSERT_EQ(got.victim_kind, want.victim_kind) << "step " << step;
+  }
+}
+
+/// Drives the tag store and the reference with one seeded random stream of
+/// demand accesses, sibling fills, presence checks and the simulator's
+/// lookup-then-access read path, over keys from all three namespaces the
+/// simulator uses (raw data lines, 1<<62 XOR lines, 1<<63 ECC lines) and
+/// all three line kinds.  The footprint over the three namespaces is twice
+/// the cache, so hits, clean and dirty evictions all occur.
+void run_differential(const CacheConfig& cfg, std::uint64_t seed,
+                      std::size_t steps) {
+  Cache cache{cfg};
+  ReferenceCache ref{cfg};
+  Rng rng(seed);
+  const std::uint64_t footprint = 2 * (cfg.size_bytes / cfg.line_bytes) / 3;
+  constexpr std::uint64_t kNamespaces[] = {0, 1ULL << 62, 1ULL << 63};
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::uint64_t addr =
+        kNamespaces[rng.next_below(3)] | rng.next_below(footprint);
+    const auto kind = static_cast<LineKind>(rng.next_below(3));
+    const bool is_write = rng.next_below(2) == 0;
+    switch (rng.next_below(4)) {
+      case 0:
+        expect_same(cache.access(addr, is_write, kind),
+                    ref.access(addr, is_write, kind), step);
+        break;
+      case 1:
+        expect_same(cache.fill(addr, kind), ref.fill(addr, kind), step);
+        break;
+      case 2:
+        ASSERT_EQ(cache.contains(addr), ref.contains(addr)) << "step " << step;
+        break;
+      case 3: {
+        const Cache::Lookup where = cache.lookup(addr);
+        ASSERT_EQ(where.hit(), ref.contains(addr)) << "step " << step;
+        expect_same(cache.access(where, addr, is_write, kind),
+                    ref.access(addr, is_write, kind), step);
+        break;
+      }
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(cache.stats().hits, ref.stats().hits);
+  EXPECT_EQ(cache.stats().misses, ref.stats().misses);
+  EXPECT_EQ(cache.stats().writebacks, ref.stats().writebacks);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().writebacks, 0u);
+}
+
+TEST(CacheDifferential, FourWay) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    run_differential(tiny_cache(), seed, 200'000);
+  }
+}
+
+TEST(CacheDifferential, EightWayDedicatedEccCacheShape) {
+  CacheConfig cfg;  // SystemSim's dedicated ECC cache: 8 ways
+  cfg.size_bytes = 128 * 1024;
+  cfg.ways = 8;
+  for (std::uint64_t seed : {4, 5}) run_differential(cfg, seed, 400'000);
+}
+
+TEST(CacheDifferential, SixteenWay) {
+  CacheConfig cfg;
+  cfg.size_bytes = 256 * 1024;
+  for (std::uint64_t seed : {6, 7}) run_differential(cfg, seed, 400'000);
+}
+
+TEST(CacheDifferential, PaperLlc) {
+  run_differential(CacheConfig{}, 8, 1'000'000);
 }
 
 }  // namespace

@@ -138,6 +138,43 @@ TEST(SystemSim, FaultyBankModeAddsEccTraffic) {
             healthy.mem.ecc_reads + healthy.mem.ecc_writes);
 }
 
+TEST(SystemSim, FaultyBankCellIsPinned) {
+  // Degraded-mode reads and evictions decode their address to match it
+  // against the faulty-bank list, a path no bench sweep cell takes.  Every
+  // field is pinned exactly to the values this configuration produced
+  // before the LLC tag store and warm-up path were restructured.
+  SimOptions opts = quick();
+  opts.target_instructions = 200'000;
+  for (std::uint32_t bank = 0; bank < 8; ++bank) {
+    opts.faulty_banks.push_back((0u << 16) | (0u << 8) | bank);
+  }
+  opts.faulty_banks.push_back((1u << 16) | (2u << 8) | 5u);
+  const RunResult r = run(ecc::SchemeId::kLotEcc5Parity, "milc",
+                          ecc::SystemScale::kQuadEquivalent, opts);
+  EXPECT_EQ(r.instructions, 202415u);
+  EXPECT_EQ(r.mem_cycles, 13312u);
+  EXPECT_EQ(r.mem.reads, 5761u);
+  EXPECT_EQ(r.mem.writes, 2525u);
+  EXPECT_EQ(r.mem.ecc_reads, 546u);
+  EXPECT_EQ(r.mem.ecc_writes, 486u);
+  EXPECT_EQ(r.llc.hits, 1635u);
+  EXPECT_EQ(r.llc.misses, 5784u);
+  EXPECT_EQ(r.llc.writebacks, 2525u);
+  // 17 significant digits: each literal round-trips to the exact double.
+  EXPECT_EQ(r.ipc, 7.6027268629807692);
+  EXPECT_EQ(r.epi_pj, 1737.0724370723451);
+  EXPECT_EQ(r.dynamic_epi_pj, 983.21277400390102);
+  EXPECT_EQ(r.background_epi_pj, 753.85966306844387);
+  EXPECT_EQ(r.mapi, 0.040935701405528248);
+  EXPECT_EQ(r.bandwidth_utilization, 0.31122295673076922);
+  EXPECT_EQ(r.avg_read_latency, 117.72904009720534);
+  EXPECT_EQ(r.mem.energy.activate_pj, 160324778.25);
+  EXPECT_EQ(r.mem.energy.read_pj, 26422250.399999671);
+  EXPECT_EQ(r.mem.energy.write_pj, 12269984.999999952);
+  EXPECT_EQ(r.mem.energy.refresh_pj, 7338240.0);
+  EXPECT_EQ(r.mem.energy.background_pj, 145254263.69999906);
+}
+
 TEST(SystemSim, BandwidthUtilizationBounded) {
   for (const char* wl : {"lbm", "sjeng"}) {
     const RunResult r = run(ecc::SchemeId::kChipkill18, wl);

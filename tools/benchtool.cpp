@@ -3,10 +3,10 @@
 //   benchtool record [--smoke] [--bin DIR] [--history DIR]
 //                    [--skip-micro] [--skip-sweep]
 //       Runs the library microbenchmarks (microbench_codecs,
-//       microbench_tracefile via their google-benchmark JSON output) and a
-//       pinned smoke-sized fig10 sweep, and appends one timing record per
-//       benchmark -- stamped with git SHA, host, and thread count -- to
-//       results/history/BENCH_<name>.json.
+//       microbench_cache, microbench_tracefile via their google-benchmark
+//       JSON output) and a pinned smoke-sized fig10 sweep, and appends one
+//       timing record per benchmark -- stamped with git SHA, host, and
+//       thread count -- to results/history/BENCH_<name>.json.
 //   benchtool compare [--history DIR] [--threshold X] [--window N]
 //       Compares each history file's newest record against the median of
 //       up to N prior records from the same host/smoke/threads context;
@@ -188,7 +188,8 @@ int cmd_record(int argc, char** argv) {
   std::filesystem::create_directories(history_dir, ec);
 
   if (!skip_micro) {
-    for (const char* name : {"microbench_codecs", "microbench_tracefile"}) {
+    for (const char* name :
+         {"microbench_codecs", "microbench_cache", "microbench_tracefile"}) {
       const std::string bin = bin_dir + "/" + name;
       if (!executable_exists(bin)) {
         std::fprintf(stderr, "benchtool record: %s not found (build the "
