@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace eccsim {
@@ -116,45 +115,6 @@ double relative_ci95(const RunningStat& s) {
   const double half_width =
       1.959963985 * s.stddev() / std::sqrt(static_cast<double>(s.count()));
   return half_width / std::fabs(s.mean());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      frac * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::ostringstream os;
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        counts_[i] * width / peak;
-    os.setf(std::ios::fixed);
-    os.precision(3);
-    os << "[" << bin_low(i) << ", " << bin_high(i) << ") ";
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 double geomean(const std::vector<double>& values) {

@@ -1,14 +1,14 @@
 // Streaming statistics used throughout the simulator and the benchmark
 // harness: single-pass mean/variance (Welford), percentile estimation over
-// retained samples, histograms, and the geometric mean used by the paper's
-// cross-workload averages.
+// retained or sketched samples, and the geometric mean used by the paper's
+// cross-workload averages.  (The registry's histogram type is
+// stats::Histogram in src/stats.)
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace eccsim {
@@ -123,28 +123,6 @@ class QuantileReservoir {
   std::vector<Item> heap_;  // max-heap on (key, value): front = largest kept
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples clamp
-/// into the edge bins so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
-  /// Renders a compact ASCII bar chart (for example programs).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Half-width of the normal-approximation 95% confidence interval of the

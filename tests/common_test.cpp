@@ -1,5 +1,5 @@
 // Tests for the common utilities: RNG determinism and distributions,
-// streaming statistics, histograms, and table rendering.
+// streaming statistics and table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -199,25 +199,6 @@ TEST(RelativeCi95, ShrinksWithSamplesAndGuardsDegenerateInputs) {
   for (int i = 0; i < 9900; ++i) large.add(1.0 + rng.next_double());
   EXPECT_LT(relative_ci95(large), relative_ci95(small));
   EXPECT_GT(relative_ci95(large), 0.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-3);    // clamps to bin 0
-  h.add(42);    // clamps to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(3), 4.0);
-  EXPECT_FALSE(h.ascii().empty());
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(0, 1, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1, 1, 4), std::invalid_argument);
 }
 
 TEST(Stats, GeomeanAndMean) {

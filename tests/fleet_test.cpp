@@ -1,18 +1,16 @@
 // Tests for src/fleet: spec round-trip and config-hash stability, the
 // pinned generation/scheme tables, the per-node failure model under a
 // high-FIT stress spec, shard planning, byte-identity of the sharded
-// coordinator (in-process and worker-process), and the fleetd service
-// (cache hits via the per-request manifest flag, concurrent clients,
-// queue backpressure).
+// coordinator (in-process and worker-process), and strict flag parsing
+// in the fleetd CLI.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <filesystem>
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dram/spec.hpp"
@@ -20,9 +18,7 @@
 #include "faults/mc_engine.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/model.hpp"
-#include "fleet/service.hpp"
 #include "fleet/spec.hpp"
-#include "obs/manifest.hpp"
 #include "runner/json.hpp"
 
 namespace eccsim::fleet {
@@ -61,8 +57,8 @@ FleetSpec stress_spec() {
   return spec;
 }
 
-/// stress_spec() shrunk for the service tests, renamed so each test's
-/// jobs hash (and cache) independently.
+/// stress_spec() shrunk to a few dozen nodes, renamed so each test's runs
+/// hash independently.
 FleetSpec tiny_spec(const std::string& name) {
   FleetSpec spec = stress_spec();
   spec.name = name;
@@ -72,23 +68,6 @@ FleetSpec tiny_spec(const std::string& name) {
 
 std::string dump_of(const FleetResult& result) {
   return result_to_json(result).dump(2);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-/// Value of `key` among a manifest's extra pairs, or "" when absent.
-std::string manifest_extra(const std::string& path, const std::string& key) {
-  const obs::Manifest m =
-      obs::manifest_from_json(runner::Json::parse(slurp(path)));
-  for (const auto& [k, v] : m.extra) {
-    if (k == key) return v;
-  }
-  return "";
 }
 
 // ---------------------------------------------------------------------------
@@ -107,8 +86,7 @@ TEST(FleetSpec, JsonRoundTripPreservesEverything) {
 TEST(FleetSpec, HashIgnoresFieldOrderAndDefaulting) {
   // The same fleet written three ways: canonical, reordered, and with
   // every defaultable field omitted.  All must hash identically, because
-  // the service's cache key must not depend on how the client spelled
-  // the document.
+  // a fleet's identity must not depend on how its document is spelled.
   const std::string canonical =
       "{\"name\":\"n\",\"seed\":2014,\"pools\":[{\"name\":\"p\","
       "\"nodes\":10,\"dram\":\"ddr3\",\"ecc\":\"lotecc5+parity\","
@@ -353,176 +331,39 @@ TEST(FleetCoordinator, WorkerProcessesMatchInProcess) {
   worker.work_dir = testing::TempDir() + "/fleet_worker_units";
   EXPECT_EQ(dump_of(coordinator.run(worker)), reference);
 }
+
+// ---------------------------------------------------------------------------
+// fleetd CLI
+// ---------------------------------------------------------------------------
+
+TEST(FleetdCli, HalfParsedNumbersExitWithUsageError) {
+  const std::string spec_path = testing::TempDir() + "/fleetd_cli_spec.json";
+  {
+    std::ofstream out(spec_path, std::ios::binary | std::ios::trunc);
+    out << to_json(tiny_spec("cli")).dump(2) << "\n";
+  }
+  const std::string out_path = testing::TempDir() + "/fleetd_cli_out.json";
+  // Each value starts like a number but is not one.  A lenient strtoul
+  // reads `4x` as 4 and `abc` as 0, and the run goes on with them.
+  for (const char* bad : {"--shards 4x", "--shards abc", "--shards ''",
+                          "--threads 2.5", "--chunk-size -1",
+                          "--scale 10k"}) {
+    const std::string cmd = std::string(ECCSIM_FLEETD_BINARY) +
+                            " run --spec " + spec_path + " --out " +
+                            out_path + " " + bad + " 2>&1";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad << ": " << output;
+    EXPECT_NE(output.find("expects an integer"), std::string::npos)
+        << bad << ": " << output;
+  }
+}
 #endif
-
-// ---------------------------------------------------------------------------
-// Service
-// ---------------------------------------------------------------------------
-
-runner::Json submit_request(const FleetSpec& spec, bool wait) {
-  runner::Json req = make_request("submit");
-  req.set("spec", to_json(spec));
-  if (wait) req.set("wait", true);
-  return req;
-}
-
-TEST(FleetService, RepeatedSubmitIsACacheHitWithoutResimulation) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_cache";
-  std::filesystem::remove_all(dir);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  Service service(opts);
-  service.start();
-
-  const FleetSpec spec = tiny_spec("cache-test");
-  const runner::Json first =
-      fleet_request(opts.socket_path, submit_request(spec, /*wait=*/true));
-  ASSERT_TRUE(first.at("ok").as_bool()) << first.dump(0);
-  EXPECT_FALSE(first.at("cache_hit").as_bool());
-  EXPECT_EQ(first.at("state").as_string(), "done");
-  EXPECT_EQ(first.at("hash").as_string(), config_hash(spec));
-
-  // Same fleet, different spelling: defaults omitted where possible.
-  const FleetSpec respelled = spec_from_json(to_json(spec));
-  const runner::Json second =
-      fleet_request(opts.socket_path, submit_request(respelled, false));
-  ASSERT_TRUE(second.at("ok").as_bool());
-  EXPECT_TRUE(second.at("cache_hit").as_bool());
-  EXPECT_EQ(second.at("state").as_string(), "cached");
-
-  // The per-request manifests record the miss then the hit -- the
-  // "answered from cache without re-simulation" acceptance flag.
-  EXPECT_EQ(manifest_extra(dir + "/manifests/req-1.json", "cache_hit"),
-            "false");
-  EXPECT_EQ(manifest_extra(dir + "/manifests/req-2.json", "cache_hit"),
-            "true");
-  EXPECT_EQ(manifest_extra(dir + "/manifests/req-2.json", "config_hash"),
-            config_hash(spec));
-
-  // The results op inlines the cached document byte for byte.
-  runner::Json results = make_request("results");
-  results.set("hash", config_hash(spec));
-  const runner::Json inlined = fleet_request(opts.socket_path, results);
-  ASSERT_TRUE(inlined.at("ok").as_bool());
-  EXPECT_EQ(inlined.at("result").dump(2) + "\n",
-            slurp(dir + "/cache/" + config_hash(spec) + ".json"));
-
-  runner::Json status = make_request("status");
-  status.set("hash", config_hash(spec));
-  EXPECT_EQ(fleet_request(opts.socket_path, status).at("state").as_string(),
-            "cached");
-  service.stop();
-}
-
-TEST(FleetService, ServesConcurrentClients) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_concurrent";
-  std::filesystem::remove_all(dir);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  Service service(opts);
-  service.start();
-
-  // Two clients submit the same fleet concurrently, both blocking on
-  // completion; a third probes liveness while the job runs.  Every
-  // session must get a well-formed answer.
-  const FleetSpec spec = tiny_spec("concurrent-test");
-  runner::Json r1, r2, r3;
-  std::thread c1([&] {
-    r1 = fleet_request(opts.socket_path, submit_request(spec, true));
-  });
-  std::thread c2([&] {
-    r2 = fleet_request(opts.socket_path, submit_request(spec, true));
-  });
-  std::thread c3([&] {
-    r3 = fleet_request(opts.socket_path, make_request("ping"));
-  });
-  c1.join();
-  c2.join();
-  c3.join();
-  EXPECT_TRUE(r1.at("ok").as_bool()) << r1.dump(0);
-  EXPECT_TRUE(r2.at("ok").as_bool()) << r2.dump(0);
-  EXPECT_TRUE(r3.at("ok").as_bool()) << r3.dump(0);
-  // Both submits resolve to the same finished job whatever interleaving
-  // occurred (done from the queue, or cached if the other finished
-  // first); the job ran at most... exactly once: one cache file exists.
-  for (const runner::Json* r : {&r1, &r2}) {
-    const std::string state = r->at("state").as_string();
-    EXPECT_TRUE(state == "done" || state == "cached") << r->dump(0);
-  }
-  EXPECT_TRUE(std::filesystem::exists(dir + "/cache/" + config_hash(spec) +
-                                      ".json"));
-  EXPECT_EQ(service.requests_served(), 3u);
-  service.stop();
-}
-
-TEST(FleetService, BoundedQueueRejectsWithRetryable) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_queue";
-  std::filesystem::remove_all(dir);
-  // Stall every job so the one-slot queue can be filled deterministically.
-  ::setenv("ECCSIM_FLEET_JOB_DELAY_MS", "500", 1);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  opts.queue_capacity = 1;
-  Service service(opts);
-  service.start();
-
-  const runner::Json a =
-      fleet_request(opts.socket_path, submit_request(tiny_spec("qa"), false));
-  ASSERT_TRUE(a.at("ok").as_bool());
-  // Wait until the executor has picked job A up (freeing the queue slot).
-  runner::Json status = make_request("status");
-  status.set("hash", a.at("hash").as_string());
-  for (int i = 0; i < 200; ++i) {
-    const runner::Json s = fleet_request(opts.socket_path, status);
-    if (s.at("state").as_string() != "queued") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  const runner::Json b =
-      fleet_request(opts.socket_path, submit_request(tiny_spec("qb"), false));
-  ASSERT_TRUE(b.at("ok").as_bool());
-  EXPECT_EQ(b.at("state").as_string(), "queued");
-
-  // Queue full: B holds the only slot while A stalls in the executor.
-  const runner::Json c =
-      fleet_request(opts.socket_path, submit_request(tiny_spec("qc"), false));
-  EXPECT_FALSE(c.at("ok").as_bool());
-  EXPECT_NE(c.at("error").as_string().find("queue full"), std::string::npos);
-  EXPECT_TRUE(c.at("retryable").as_bool());
-  ::unsetenv("ECCSIM_FLEET_JOB_DELAY_MS");
-  service.stop();
-}
-
-TEST(FleetService, RejectsMalformedRequests) {
-  const std::string dir = testing::TempDir() + "/fleet_svc_reject";
-  std::filesystem::remove_all(dir);
-  ServiceOptions opts;
-  opts.socket_path = dir + ".sock";
-  opts.results_dir = dir;
-  Service service(opts);
-  service.start();
-
-  runner::Json bad = runner::Json::object();
-  bad.set("op", "submit");  // no eccsim.fleetreq/1 envelope
-  EXPECT_FALSE(fleet_request(opts.socket_path, bad).at("ok").as_bool());
-
-  EXPECT_FALSE(fleet_request(opts.socket_path, make_request("sumbit"))
-                   .at("ok")
-                   .as_bool());
-
-  runner::Json invalid = make_request("submit");
-  invalid.set("spec", runner::Json::parse(
-                          "{\"pools\":[{\"name\":\"p\",\"nodes\":1,"
-                          "\"channels\":1}]}"));
-  const runner::Json resp = fleet_request(opts.socket_path, invalid);
-  EXPECT_FALSE(resp.at("ok").as_bool());
-  EXPECT_NE(resp.at("error").as_string().find("channels"),
-            std::string::npos);
-  service.stop();
-}
 
 }  // namespace
 }  // namespace eccsim::fleet
