@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "gf/kernels.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
@@ -437,6 +438,32 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
   return rows;
 }
 
+/// The numeric ECCSIM_MC_* knobs; 0 means unset (engine-default chunk
+/// size, scaled system budget, no early stop).  Parsed strictly: `4x` or
+/// `abc` exits 2, whether it came from the env or the --mc-* flag.
+struct McEnv {
+  unsigned chunk = 0;
+  unsigned systems = 0;
+  double target_rel_ci = 0.0;
+};
+
+McEnv mc_env() {
+  McEnv e;
+  const char* prog = g_bench_name.c_str();
+  if (const char* v = std::getenv("ECCSIM_MC_CHUNK")) {
+    e.chunk = parse_uint<unsigned>(prog, "ECCSIM_MC_CHUNK/--mc-chunk", v);
+  }
+  if (const char* v = std::getenv("ECCSIM_MC_SYSTEMS")) {
+    e.systems =
+        parse_uint<unsigned>(prog, "ECCSIM_MC_SYSTEMS/--mc-systems", v);
+  }
+  if (const char* v = std::getenv("ECCSIM_MC_TARGET_REL_CI")) {
+    e.target_rel_ci = parse_double(
+        prog, "ECCSIM_MC_TARGET_REL_CI/--mc-target-rel-ci", v);
+  }
+  return e;
+}
+
 }  // namespace
 
 void init(int argc, char** argv) {
@@ -563,6 +590,9 @@ void init(int argc, char** argv) {
     }
   }
   if (stats_config().enabled) stats::Profiler::set_enabled(true);
+  // A malformed MC knob fails here (exit 2) rather than in the middle of
+  // the run, after the manifest below has been booted.
+  (void)mc_env();
 
   // Boot the run manifest: written with status "running" now, finalized
   // by the atexit report.  A reader that finds a stale "running" manifest
@@ -656,12 +686,9 @@ std::uint64_t target_instructions() {
 
 faults::McOptions mc_options() {
   faults::McOptions opts;
-  if (const char* v = std::getenv("ECCSIM_MC_CHUNK")) {
-    opts.chunk_size = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-  }
-  if (const char* v = std::getenv("ECCSIM_MC_TARGET_REL_CI")) {
-    opts.target_rel_ci = std::strtod(v, nullptr);
-  }
+  const McEnv env = mc_env();
+  opts.chunk_size = env.chunk;
+  opts.target_rel_ci = env.target_rel_ci;
   if (const char* v = std::getenv("ECCSIM_MC_CHECKPOINT")) {
     opts.checkpoint_path = v;
   }
@@ -675,10 +702,7 @@ faults::McOptions mc_options() {
 }
 
 unsigned mc_systems(unsigned full) {
-  if (const char* v = std::getenv("ECCSIM_MC_SYSTEMS")) {
-    const auto n = std::strtoul(v, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
+  if (const unsigned n = mc_env().systems; n > 0) return n;
   unsigned n = full;
   if (smoke_mode()) {
     n = full / 20;

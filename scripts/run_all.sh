@@ -41,10 +41,11 @@ fi
 
 # Smoke runs double as the cheap determinism gate: the committed golden
 # traces must re-record byte-identically (seed/generator/format drift
-# check, ~a second).  The full record->replay sweep identity check is a
-# separate CI job (scripts/trace_replay_check.sh).
+# check, ~a second).  The other identity rows (full sweep, kernels,
+# telemetry, replay, fleet, MC resume) run as one CI step:
+# ./scripts/identity_check.sh build.
 if [ "${ECCSIM_SMOKE:-0}" != 0 ] && [ -x build/tools/tracetool ]; then
-  ./scripts/golden_trace_check.sh build/tools/tracetool
+  ./scripts/identity_check.sh build golden
 fi
 
 # Smoke preflight #2: the static-analysis gate.  Runs before the bench

@@ -175,7 +175,8 @@ using Ddr3Device = DramSpec;
 /// x4/x8 have 32K rows (x4: 2K cols, x8: 1K cols), x16 has 16K rows.  IDD4
 /// scales with width (more DQ toggling); IDD0/IDD5 are slightly higher for
 /// x16.  Bit-identical to the pre-spec-layer ddr3_params constants (pinned
-/// by tests/dram_spec_test.cpp and scripts/ddr3_identity_check.sh).
+/// by tests/dram_spec_test.cpp and the ddr3/fresh row of
+/// scripts/identity_check.sh).
 DramSpec micron_2gb(DeviceWidth width, double speed_factor = 1.0);
 
 /// Builds a representative 8Gb DDR4-2400-class device (16 banks in 4 bank

@@ -12,7 +12,7 @@
 // the same ordered field stream whatever produced it.  Therefore the
 // merged FleetResult -- and its JSON dump -- is byte-identical at any
 // shard count and for in-process vs worker-process execution, which
-// scripts/fleet_identity_check.sh gates in CI.
+// the fleet rows of scripts/identity_check.sh gate in CI.
 #pragma once
 
 #include <cstdint>

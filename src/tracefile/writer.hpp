@@ -4,7 +4,7 @@
 // (format.hpp), so memory stays bounded at ops_per_chunk regardless of
 // trace length.  Output is byte-deterministic: the header carries no
 // timestamps and the codec no floats, which is what lets CI pin golden
-// traces by SHA-256 (scripts/golden_trace_check.sh).
+// traces by SHA-256 (the golden rows of scripts/identity_check.sh).
 //
 // close() appends the footer; a file missing it is detected as truncated
 // by every reader.  The destructor closes implicitly but swallows I/O

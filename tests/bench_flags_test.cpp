@@ -1,7 +1,8 @@
 // Flag handling of the shared bench front-end: unknown flags must be
 // rejected with exit code 2 and a pointer at --help, --help and
-// --list-workloads must succeed, and --trace-point must validate its
-// value.  Death tests: init() terminates the process on these paths.
+// --list-workloads must succeed, --trace-point must validate its value,
+// and the numeric --mc-* flags / ECCSIM_MC_* env must be whole numbers.
+// Death tests: init() terminates the process on these paths.
 #include <gtest/gtest.h>
 
 #include "bench_common.hpp"
@@ -123,6 +124,69 @@ TEST(BenchFlagsDeathTest, TracePointValuesAccepted) {
       {
         run_init({"--trace-point", "post"});
         std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(BenchFlagsDeathTest, HalfParsedMcFlagsRejected) {
+  // A lenient strtoul reads `4x` as 4 and `abc` as 0.  init() parses the
+  // MC knobs before it boots the run manifest, so these exit 2 at startup.
+  EXPECT_EXIT(run_init({"--mc-chunk", "4x"}), ::testing::ExitedWithCode(2),
+              "ECCSIM_MC_CHUNK/--mc-chunk expects an integer.*got '4x'");
+  EXPECT_EXIT(run_init({"--mc-chunk=abc"}), ::testing::ExitedWithCode(2),
+              "got 'abc'");
+  EXPECT_EXIT(run_init({"--mc-systems", "12k"}), ::testing::ExitedWithCode(2),
+              "ECCSIM_MC_SYSTEMS/--mc-systems expects an integer.*got '12k'");
+  EXPECT_EXIT(run_init({"--mc-target-rel-ci", "0.0x5"}),
+              ::testing::ExitedWithCode(2),
+              "ECCSIM_MC_TARGET_REL_CI/--mc-target-rel-ci expects a number.*"
+              "got '0.0x5'");
+}
+
+TEST(BenchFlagsDeathTest, HalfParsedMcEnvRejected) {
+  EXPECT_EXIT(
+      {
+        setenv("ECCSIM_MC_CHUNK", "-1", 1);
+        run_init({});
+      },
+      ::testing::ExitedWithCode(2), "got '-1'");
+  // The readers validate too, for callers that never ran init().
+  EXPECT_EXIT(
+      {
+        setenv("ECCSIM_MC_SYSTEMS", "", 1);
+        (void)mc_systems(200);
+      },
+      ::testing::ExitedWithCode(2), "got ''");
+  EXPECT_EXIT(
+      {
+        setenv("ECCSIM_MC_TARGET_REL_CI", "nan", 1);
+        (void)mc_options();
+      },
+      ::testing::ExitedWithCode(2), "got 'nan'");
+}
+
+TEST(BenchFlagsDeathTest, WholeMcValuesAccepted) {
+  // Zero keeps its meaning ("default") for --mc-systems and --mc-chunk.
+  EXPECT_EXIT(
+      {
+        unsetenv("ECCSIM_SMOKE");  // mc_systems() scales the default
+        unsetenv("ECCSIM_QUICK");
+        run_init({"--mc-chunk", "32", "--mc-target-rel-ci", "0.05",
+                  "--mc-systems", "0"});
+        const auto opts = mc_options();
+        std::exit(opts.chunk_size == 32 && opts.target_rel_ci == 0.05 &&
+                          mc_systems(1000) == 1000
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(
+      {
+        run_init({"--mc-chunk=0", "--mc-systems=500"});
+        std::exit(mc_options().chunk_size == faults::McOptions{}.chunk_size &&
+                          mc_systems(1000) == 500
+                      ? 0
+                      : 1);
       },
       ::testing::ExitedWithCode(0), "");
 }

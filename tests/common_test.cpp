@@ -1,11 +1,13 @@
 // Tests for the common utilities: RNG determinism and distributions,
-// streaming statistics and table rendering.
+// streaming statistics, table rendering and strict number parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -257,6 +259,47 @@ TEST(Units, MtbfOfNonFailingSystemIsInfiniteNotDivideByZero) {
 TEST(Units, PicojouleIdentity) {
   // 100 mA * 1.5 V * 10 ns = 1500 pJ.
   EXPECT_DOUBLE_EQ(units::picojoules(100, 1.5, 10), 1500.0);
+}
+
+// ---------------------------------------------------------------------------
+// Strict number parsing
+
+TEST(Parse, WholeValuesAccepted) {
+  EXPECT_EQ(parse_uint<unsigned>("t", "--n", "0"), 0u);
+  EXPECT_EQ(parse_uint<unsigned>("t", "--n", "4294967295"), 4294967295u);
+  EXPECT_EQ(parse_uint<std::uint64_t>("t", "--n", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_uint<std::uint8_t>("t", "--n", "255"), 255);
+  EXPECT_DOUBLE_EQ(parse_double("t", "--x", "0.15"), 0.15);
+  EXPECT_DOUBLE_EQ(parse_double("t", "--x", "-2"), -2.0);
+  EXPECT_DOUBLE_EQ(parse_double("t", "--x", "1e-3"), 1e-3);
+  EXPECT_DOUBLE_EQ(parse_double("t", "--x", ".5"), 0.5);
+}
+
+using ParseDeathTest = ::testing::Test;
+
+TEST(ParseDeathTest, HalfParsedIntegersExitWithUsageError) {
+  for (const char* bad : {"", "4x", "abc", "-1", "+1", " 1", "1 ", "2.5",
+                          "10k", "4294967296"}) {
+    EXPECT_EXIT((void)parse_uint<unsigned>("prog", "--n", bad),
+                ::testing::ExitedWithCode(2),
+                "prog: --n expects an integer in \\[0, 4294967295\\]")
+        << "'" << bad << "'";
+  }
+  EXPECT_EXIT((void)parse_uint<std::uint64_t>("prog", "--n",
+                                              "18446744073709551616"),
+              ::testing::ExitedWithCode(2), "expects an integer");
+  EXPECT_EXIT((void)parse_uint<std::uint8_t>("prog", "--n", "256"),
+              ::testing::ExitedWithCode(2), "in \\[0, 255\\], got '256'");
+}
+
+TEST(ParseDeathTest, HalfParsedNumbersExitWithUsageError) {
+  for (const char* bad : {"", "0.15x", "0.0x5", "abc", " 1", "1 ", "nan",
+                          "inf", "-inf", "1e999"}) {
+    EXPECT_EXIT((void)parse_double("prog", "--x", bad),
+                ::testing::ExitedWithCode(2), "prog: --x expects a number")
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // The DDR3 section pins every field of micron_2gb() against the literal
 // constants of the pre-spec-layer ddr3_params tables, so the refactor that
 // introduced DramSpec can never drift from the paper-faithful device (the
-// golden traces and scripts/ddr3_identity_check.sh pin the end-to-end
-// behavior; this pins the inputs field by field).  The DDR4/DDR5 sections
+// golden traces and the ddr3/fresh row of scripts/identity_check.sh pin
+// the end-to-end behavior; this pins the inputs field by field).  The DDR4/DDR5 sections
 // unit-test the generation-specific protocol rules -- bank-group CAS/ACT
 // spacing, same-bank refresh rotation, per-set refresh blackouts -- against
 // the extended protocol checker, plus the spec geometry helpers, the

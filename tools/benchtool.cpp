@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "obs/manifest.hpp"
 #include "obs/perf_history.hpp"
 #include "obs/run_info.hpp"
@@ -271,11 +272,11 @@ int cmd_compare(int argc, char** argv) {
     if ((v = flag_value(argc, argv, i, "--history")) != nullptr) {
       history_dir = v;
     } else if ((v = flag_value(argc, argv, i, "--threshold")) != nullptr) {
-      threshold = std::strtod(v, nullptr);
+      threshold = parse_double("benchtool", "--threshold", v);
     } else if ((v = flag_value(argc, argv, i, "--window")) != nullptr) {
-      window = std::strtoull(v, nullptr, 10);
+      window = parse_uint<std::size_t>("benchtool", "--window", v);
     } else if ((v = flag_value(argc, argv, i, "--min-samples")) != nullptr) {
-      min_samples = std::strtoull(v, nullptr, 10);
+      min_samples = parse_uint<std::size_t>("benchtool", "--min-samples", v);
     } else {
       std::fprintf(stderr, "benchtool compare: unknown flag '%s'\n",
                    arg.c_str());
@@ -374,7 +375,7 @@ int cmd_watch(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* v = nullptr;
     if ((v = flag_value(argc, argv, i, "--interval-ms")) != nullptr) {
-      interval_ms = std::strtoull(v, nullptr, 10);
+      interval_ms = parse_uint<std::uint64_t>("benchtool", "--interval-ms", v);
     } else if (arg == "--once") {
       once = true;
     } else if (path.empty() && arg.rfind("--", 0) != 0) {

@@ -5,19 +5,17 @@
 //
 // `fleetd run --shards 8 --mode worker` produces the same bytes as a
 // single-shard in-process run -- the property
-// scripts/fleet_identity_check.sh gates in CI.
-#include <cctype>
-#include <cerrno>
+// the fleet rows of scripts/identity_check.sh gate in CI.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "common/parse.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/model.hpp"
 #include "fleet/spec.hpp"
@@ -89,24 +87,6 @@ bool parse_mode(const std::string& text, fleet::RunOptions::Mode& mode) {
   return false;
 }
 
-/// Parses a whole decimal flag value into T.  Empty, non-digit, trailing
-/// (`4x`, `abc`, `-1`) or out-of-range input exits 2 instead of being
-/// half-read.
-template <typename T>
-T parse_uint(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE || v > std::numeric_limits<T>::max()) {
-    std::fprintf(
-        stderr, "fleetd: %s expects an integer in [0, %llu], got '%s'\n", flag,
-        static_cast<unsigned long long>(std::numeric_limits<T>::max()), text);
-    std::exit(2);
-  }
-  return static_cast<T>(v);
-}
-
 int cmd_worker(int argc, char** argv) {
   std::string spec_path, out_path;
   std::uint64_t chunk_lo = 0, chunk_hi = 0;
@@ -118,11 +98,11 @@ int cmd_worker(int argc, char** argv) {
     } else if ((v = flag_value(argc, argv, i, "--out")) != nullptr) {
       out_path = v;
     } else if ((v = flag_value(argc, argv, i, "--chunk-lo")) != nullptr) {
-      chunk_lo = parse_uint<std::uint64_t>("--chunk-lo", v);
+      chunk_lo = parse_uint<std::uint64_t>("fleetd", "--chunk-lo", v);
     } else if ((v = flag_value(argc, argv, i, "--chunk-hi")) != nullptr) {
-      chunk_hi = parse_uint<std::uint64_t>("--chunk-hi", v);
+      chunk_hi = parse_uint<std::uint64_t>("fleetd", "--chunk-hi", v);
     } else if ((v = flag_value(argc, argv, i, "--chunk-size")) != nullptr) {
-      chunk_size = parse_uint<unsigned>("--chunk-size", v);
+      chunk_size = parse_uint<unsigned>("fleetd", "--chunk-size", v);
     } else {
       std::fprintf(stderr, "fleetd --worker: unknown flag '%s'\n", argv[i]);
       return 2;
@@ -158,18 +138,18 @@ int cmd_run(int argc, char** argv) {
     } else if ((v = flag_value(argc, argv, i, "--out")) != nullptr) {
       out_path = v;
     } else if ((v = flag_value(argc, argv, i, "--shards")) != nullptr) {
-      run.shards = parse_uint<unsigned>("--shards", v);
+      run.shards = parse_uint<unsigned>("fleetd", "--shards", v);
     } else if ((v = flag_value(argc, argv, i, "--mode")) != nullptr) {
       if (!parse_mode(v, run.mode)) {
         std::fprintf(stderr, "fleetd: unknown --mode '%s'\n", v);
         return 2;
       }
     } else if ((v = flag_value(argc, argv, i, "--threads")) != nullptr) {
-      run.threads = parse_uint<unsigned>("--threads", v);
+      run.threads = parse_uint<unsigned>("fleetd", "--threads", v);
     } else if ((v = flag_value(argc, argv, i, "--chunk-size")) != nullptr) {
-      run.chunk_size = parse_uint<unsigned>("--chunk-size", v);
+      run.chunk_size = parse_uint<unsigned>("fleetd", "--chunk-size", v);
     } else if ((v = flag_value(argc, argv, i, "--scale")) != nullptr) {
-      scale = parse_uint<std::uint64_t>("--scale", v);
+      scale = parse_uint<std::uint64_t>("fleetd", "--scale", v);
     } else if ((v = flag_value(argc, argv, i, "--work-dir")) != nullptr) {
       run.work_dir = v;
     } else {

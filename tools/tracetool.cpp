@@ -25,6 +25,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "dram/spec.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
@@ -107,11 +108,12 @@ int cmd_record(int argc, char** argv) {
     } else if ((v = flag_value(argc, argv, i, "--out")) != nullptr) {
       out = v;
     } else if ((v = flag_value(argc, argv, i, "--ops-per-core")) != nullptr) {
-      ops_per_core = std::strtoull(v, nullptr, 10);
+      ops_per_core =
+          parse_uint<std::uint64_t>("tracetool", "--ops-per-core", v);
     } else if ((v = flag_value(argc, argv, i, "--cores")) != nullptr) {
-      cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      cores = parse_uint<unsigned>("tracetool", "--cores", v);
     } else if ((v = flag_value(argc, argv, i, "--seed")) != nullptr) {
-      seed = std::strtoull(v, nullptr, 10);
+      seed = parse_uint<std::uint64_t>("tracetool", "--seed", v);
     } else {
       std::fprintf(stderr, "tracetool record: unknown flag '%s'\n",
                    arg.c_str());
@@ -370,7 +372,7 @@ int cmd_head(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const char* v = flag_value(argc, argv, i, "-n");
     if (v != nullptr) {
-      n = std::strtoull(v, nullptr, 10);
+      n = parse_uint<std::uint64_t>("tracetool", "-n", v);
     } else {
       std::fprintf(stderr, "tracetool head: unknown flag '%s'\n", argv[i]);
       return 2;
