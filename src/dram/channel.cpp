@@ -47,6 +47,14 @@ Channel::Channel(const ChannelConfig& cfg) : cfg_(cfg) {
   if (cfg_.device.bank_groups == 0) {
     throw std::invalid_argument("Channel: device.bank_groups must be nonzero");
   }
+  // The scheduler's wake cycle is exact only if no time term of
+  // earliest_act() reaches past now + tRC (see channel.hpp).
+  const auto& t = cfg_.device.timing;
+  if (t.tXP > t.tRC || t.tRP > t.tRC || t.tCCD_L > t.tRC) {
+    throw std::invalid_argument(
+        "Channel: tXP, tRP and tCCD_L must not exceed tRC");
+  }
+  acts_.resize(window_limit());
   ranks_.resize(cfg_.ranks);
   for (auto& r : ranks_) {
     r.banks.resize(cfg_.banks);
@@ -61,6 +69,8 @@ bool Channel::enqueue(const MemRequest& req) {
   if (req.addr.rank >= cfg_.ranks || req.addr.bank >= cfg_.banks) {
     throw std::out_of_range("Channel::enqueue: rank/bank out of range");
   }
+  // A request landing inside the window is a new candidate: decide again.
+  if (queue_.size() < window_limit()) wake_ = 0;
   queue_.push_back(req);
   return true;
 }
@@ -71,9 +81,7 @@ std::uint64_t Channel::earliest_act(const MemRequest& req,
   const RankState& rank = ranks_[req.addr.rank];
   const BankState& bank = rank.banks[req.addr.bank];
 
-  if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open &&
-      bank.open_row == req.addr.row &&
-      now <= bank.last_use + cfg_.open_row_timeout) {
+  if (row_hit(bank, req, now)) {
     // Row hit: no ACT needed; the comparable "start" time is the CAS gate.
     return std::max(now, bank.next_cas);
   }
@@ -282,9 +290,7 @@ std::uint64_t Channel::issue(const MemRequest& req, std::uint64_t now) {
   const std::uint32_t group = cfg_.device.bank_group_of(req.addr.bank);
 
   // Open-page row hit: CAS straight into the open row, no ACT energy.
-  if (cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open &&
-      bank.open_row == req.addr.row &&
-      now <= bank.last_use + cfg_.open_row_timeout) {
+  if (row_hit(bank, req, now)) {
     const unsigned cas_lat = req.is_write ? t.tCWL : t.tCL;
     std::uint64_t data_start =
         std::max(now, bank.next_cas) + cas_lat;
@@ -513,47 +519,66 @@ void Channel::tick(std::uint64_t now, std::vector<MemCompletion>& out) {
     completions_.pop();
   }
 
-  if (queue_.empty()) return;
+  // Before wake_ no candidate can issue (see channel.hpp), so the
+  // decision would come out "wait" on every skipped cycle.
+  if (queue_.empty() || now < wake_) return;
   STATS_SCOPE("dram.scheduler");
 
   // Scheduler: examine up to `scheduler_window` oldest transactions, pick
   // the one that can activate earliest; break ties in favor of the
   // (rank, bank, row) with the most queued requests (DRAMsim's
   // Most-Pending policy), then age.  FCFS degenerates to a window of 1.
-  const std::size_t window = std::min<std::size_t>(
-      queue_.size(), cfg_.scheduler == SchedulerPolicy::kFcfs
-                         ? 1
-                         : cfg_.scheduler_window);
+  const std::size_t window = std::min(queue_.size(), window_limit());
   std::size_t best = 0;
   std::uint64_t best_act = ~0ULL;
-  std::size_t best_pending = 0;
+  std::size_t ties = 0;
   for (std::size_t i = 0; i < window; ++i) {
     const MemRequest& cand = queue_[i];
     const std::uint64_t act = earliest_act(cand, now);
-    std::size_t same_row = 0;
-    for (std::size_t j = 0; j < window; ++j) {
-      const MemRequest& o = queue_[j];
-      if (o.addr.rank == cand.addr.rank && o.addr.bank == cand.addr.bank &&
-          o.addr.row == cand.addr.row) {
-        ++same_row;
-      }
-    }
-    if (act < best_act ||
-        (act == best_act && same_row > best_pending)) {
+    acts_[i] = act;
+    if (act < best_act) {
       best = i;
       best_act = act;
-      best_pending = same_row;
+      ties = 1;
+    } else if (act == best_act) {
+      ++ties;
     }
   }
 
   // Issue only when the winner can start "soon": we avoid booking a
   // transaction far in the future so that later arrivals can still compete.
   const auto& t = cfg_.device.timing;
-  if (best_act <= now + t.tRC) {
-    const MemRequest req = queue_[best];
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-    issue(req, now);
+  if (best_act > now + t.tRC) {
+    wake_ = best_act - t.tRC;
+    return;
   }
+
+  // Most-Pending tie-break, counted only for the candidates that tie at
+  // best_act: the first with the most same-row requests in the window.
+  if (ties > 1) {
+    std::size_t best_pending = 0;
+    for (std::size_t i = best; i < window; ++i) {
+      if (acts_[i] != best_act) continue;
+      const MemRequest& cand = queue_[i];
+      std::size_t same_row = 0;
+      for (std::size_t j = 0; j < window; ++j) {
+        const MemRequest& o = queue_[j];
+        if (o.addr.rank == cand.addr.rank && o.addr.bank == cand.addr.bank &&
+            o.addr.row == cand.addr.row) {
+          ++same_row;
+        }
+      }
+      if (same_row > best_pending) {
+        best = i;
+        best_pending = same_row;
+      }
+    }
+  }
+
+  const MemRequest req = queue_[best];
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
+  issue(req, now);
+  wake_ = 0;
 }
 
 void Channel::finalize(std::uint64_t end_cycle) {

@@ -18,6 +18,23 @@
 // constraints equal, which makes the group gates degenerate to the classic
 // single-rank constraints; same-bank refresh (DDR5 REFsb) rotates REF
 // commands through bank sets and only blacks out the targeted set.
+//
+// Scheduling decisions are event-driven.  A decision issues the window's
+// best candidate only if it can activate within tRC of `now`; when none
+// can, tick() skips every cycle before a wake cycle at which the decision
+// could first come out differently.  The skip is exact, not approximate:
+// earliest_act(req, now) depends on `now` only through max(now, ...),
+// now + tXP (power-down exit), max(now, earliest_pre) + tRP (open-page
+// conflict) and the open-page row-hit test now <= last_use +
+// open_row_timeout.  The constructor requires tXP <= tRC and tRP <= tRC,
+// so every time term is at most now + tRC: a candidate that cannot issue
+// at `now` has a start time fixed by state alone, and nothing can issue
+// before best_act - tRC.  That state changes only by an issue or by an
+// enqueue that lands inside the window, and both reset the wake.  A
+// window row hit cannot expire before the wake either: an access books
+// next_cas = t_cas + tCCD_L and last_use = t_cas + CAS latency + tBurst
+// together, so a waiting hit (act == next_cas) is still a hit at
+// act - tRC >= best_act - tRC, given the constructor's tCCD_L <= tRC.
 #pragma once
 
 #include <cstdint>
@@ -188,6 +205,20 @@ class Channel {
     std::uint64_t bg_accounted_until = 0;
   };
 
+  /// Window size a decision examines: 1 under FCFS.
+  std::size_t window_limit() const {
+    return cfg_.scheduler == SchedulerPolicy::kFcfs ? 1
+                                                    : cfg_.scheduler_window;
+  }
+
+  /// True if `req` is an open-page row hit at `now` (CAS, no ACT).
+  bool row_hit(const BankState& bank, const MemRequest& req,
+               std::uint64_t now) const {
+    return cfg_.row_policy == RowPolicy::kOpenPage && bank.row_open &&
+           bank.open_row == req.addr.row &&
+           now <= bank.last_use + cfg_.open_row_timeout;
+  }
+
   /// Computes the earliest ACT cycle for a transaction, given all
   /// constraints, without mutating state.
   std::uint64_t earliest_act(const MemRequest& req, std::uint64_t now) const;
@@ -234,6 +265,11 @@ class Channel {
   ChannelConfig cfg_;
   std::vector<RankState> ranks_;
   std::deque<MemRequest> queue_;
+  // Event-driven scheduling (see the note at the top of this file): no
+  // decision runs before wake_; acts_ holds each window candidate's
+  // earliest start during one decision.
+  std::uint64_t wake_ = 0;
+  std::vector<std::uint64_t> acts_;
 
   // Shared data bus: next free cycle, and whether the last burst was a
   // write (for turnaround penalties).

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/parse.hpp"
 #include "obs/run_info.hpp"
 #include "runner/json.hpp"
 #include "stats/stats.hpp"
@@ -42,7 +43,8 @@ HeartbeatConfig HeartbeatConfig::from_env() {
     cfg.stderr_line = std::string(v) != "0";
   }
   if (const char* v = std::getenv("ECCSIM_STATUS_INTERVAL_MS")) {
-    cfg.min_interval_ms = std::strtoull(v, nullptr, 10);
+    cfg.min_interval_ms = parse_uint<std::uint64_t>(
+        "eccsim", "ECCSIM_STATUS_INTERVAL_MS", v);
   }
   return cfg;
 }

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/parse.hpp"
+
 namespace eccsim::runner {
 
 namespace {
@@ -117,8 +119,9 @@ bool ThreadPool::on_worker_thread() { return tl_pool != nullptr; }
 
 unsigned ThreadPool::default_thread_count() {
   if (const char* env = std::getenv("RUNNER_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    // Strict: `4x` or `abc` exits 2 instead of silently using all cores.
+    const unsigned v = parse_uint<unsigned>("eccsim", "RUNNER_THREADS", env);
+    if (v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -53,7 +53,8 @@ class ThreadPool {
 
   /// Thread count the runner should use: the `RUNNER_THREADS` environment
   /// variable if set to a positive integer, else the hardware concurrency
-  /// (minimum 1).
+  /// (minimum 1).  A value that is not a whole decimal integer exits 2
+  /// (common/parse.hpp); 0 means the hardware concurrency.
   static unsigned default_thread_count();
 
   /// True when the calling thread is a worker of *any* ThreadPool.

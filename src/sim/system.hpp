@@ -269,8 +269,6 @@ class SystemSim {
   // In-flight demand reads: memline -> cores waiting on it.
   std::unordered_map<std::uint64_t, std::vector<int>> mshr_;
   std::unordered_map<std::uint64_t, std::uint64_t> id_to_memline_;
-  std::unordered_map<std::uint64_t, std::uint64_t> ecc_key_to_index_;
-  std::vector<std::uint64_t> ecc_index_to_key_;
 
   // Observability state: all null/zero when SimOptions::stats is unset.
   stats::Registry* streg_ = nullptr;

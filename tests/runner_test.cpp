@@ -61,7 +61,7 @@ TEST(ThreadPoolTest, WaitIdleIsReusable) {
 TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
   setenv("RUNNER_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::default_thread_count(), 3u);
-  setenv("RUNNER_THREADS", "0", 1);  // invalid: fall back to hardware
+  setenv("RUNNER_THREADS", "0", 1);  // 0: fall back to hardware
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
   unsetenv("RUNNER_THREADS");
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);

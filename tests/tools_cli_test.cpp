@@ -1,7 +1,8 @@
-// Strict flag parsing in the tracetool and benchtool CLIs: a number that
-// is only half a number (`10k`, `0.15x`, `abc`) must exit 2 with a usage
-// message instead of running with whatever prefix strtoul could read.
-// Spawns the real binaries.
+// Strict flag parsing in the tracetool and benchtool CLIs and in the
+// numeric environment knobs every bench reads: a number that is only half
+// a number (`10k`, `0.15x`, `abc`) must exit 2 with a usage message
+// instead of running with whatever prefix strtoul could read.  Spawns the
+// real binaries.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -70,6 +71,26 @@ TEST(BenchtoolCli, HalfParsedNumbersExitWithUsageError) {
   expect_usage_error(std::string(ECCSIM_BENCHTOOL_BINARY) +
                          " watch status.json --once --interval-ms 1e3",
                      "--interval-ms expects an integer");
+}
+
+TEST(EnvKnobs, HalfParsedNumbersExitWithUsageError) {
+  // Run in an empty directory: a rejected knob must stop the bench before
+  // it writes a manifest or any result.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "tools_cli_env_knobs";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string in_dir = "cd " + dir.string() + " && ";
+  const std::string bench = std::string(" ") + ECCSIM_TABLE2_BINARY;
+  for (const char* bad : {"abc", "4x", "''"}) {
+    expect_usage_error(in_dir + "RUNNER_THREADS=" + bad + bench,
+                       "RUNNER_THREADS expects an integer");
+  }
+  for (const char* bad : {"5x", "abc", "''", "-1"}) {
+    expect_usage_error(in_dir + "ECCSIM_STATUS_INTERVAL_MS=" + bad + bench,
+                       "ECCSIM_STATUS_INTERVAL_MS expects an integer");
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
 
 }  // namespace

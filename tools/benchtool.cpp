@@ -3,8 +3,8 @@
 //   benchtool record [--smoke] [--bin DIR] [--history DIR]
 //                    [--skip-micro] [--skip-sweep]
 //       Runs the library microbenchmarks (microbench_codecs,
-//       microbench_cache, microbench_tracefile via their google-benchmark
-//       JSON output) and a pinned smoke-sized fig10 sweep, and appends one
+//       microbench_cache, microbench_tracefile, microbench_dram via their
+//       google-benchmark JSON output) and a pinned smoke-sized fig10 sweep, and appends one
 //       timing record per benchmark -- stamped with git SHA, host, and
 //       thread count -- to results/history/BENCH_<name>.json.
 //   benchtool compare [--history DIR] [--threshold X] [--window N]
@@ -190,7 +190,8 @@ int cmd_record(int argc, char** argv) {
 
   if (!skip_micro) {
     for (const char* name :
-         {"microbench_codecs", "microbench_cache", "microbench_tracefile"}) {
+         {"microbench_codecs", "microbench_cache", "microbench_tracefile",
+          "microbench_dram"}) {
       const std::string bin = bin_dir + "/" + name;
       if (!executable_exists(bin)) {
         std::fprintf(stderr, "benchtool record: %s not found (build the "
