@@ -14,7 +14,6 @@
 #include "gf/kernels.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
-#include "obs/openmetrics.hpp"
 #include "obs/run_info.hpp"
 #include "runner/stats_json.hpp"
 #include "runner/thread_pool.hpp"
@@ -154,22 +153,14 @@ void write_stats_dump(
     const std::vector<std::unique_ptr<stats::Collector>>& collectors);
 extern std::vector<std::unique_ptr<stats::Collector>> g_adhoc_collectors;
 
-/// Process-wide accumulation of every merged registry this run produced
-/// (sweep + ad-hoc collectors), exported as results/<bench>.prom by the
-/// atexit report.  Function-local static, touched from init() so it
-/// outlives the atexit handler.
-stats::Registry& prom_registry() {
-  static stats::Registry reg;
-  return reg;
-}
-
 std::string manifest_path() {
   return out_dir("results") + "/" + g_bench_name + ".manifest.json";
 }
 
 /// End-of-run report, registered via std::atexit by init().  The first
 /// line always prints (scripts/run_all.sh parses it for its summary); the
-/// per-scope profile only exists when --stats enabled the profiler.
+/// per-scope profile, on stderr and in the manifest, only exists when
+/// --stats enabled the profiler.
 void profile_report() {
   // Flush any collectors from direct-SystemSim benches (ablations) first:
   // their stats dump is part of the run's output, not just the profile.
@@ -191,32 +182,14 @@ void profile_report() {
   m.wall_seconds = wall;
   m.peak_rss_bytes = stats::process_peak_rss_bytes();
   if (m.status == "running") m.status = "completed";
-  obs::write_manifest(manifest_path(), m);
-
-  if (stats_config().enabled && prom_registry().size() > 0) {
-    obs::write_openmetrics(
-        out_dir("results") + "/" + g_bench_name + ".prom", prom_registry(),
-        {{"bench", g_bench_name},
-         {"dram", dram::to_string(dram_generation())},
-         {"fidelity",
-          smoke_mode() ? "smoke" : (quick_mode() ? "quick" : "full")}});
-  }
-  if (!stats::Profiler::enabled()) return;
-
-  const auto snapshot = stats::Profiler::snapshot();
-  for (const auto& [scope, totals] : snapshot) {
+  if (stats::Profiler::enabled()) m.profile = stats::Profiler::snapshot();
+  for (const auto& [scope, totals] : m.profile) {
     std::fprintf(stderr, "[eccsim-profile] scope=%s calls=%llu seconds=%.3f\n",
                  scope.c_str(),
                  static_cast<unsigned long long>(totals.calls),
                  totals.seconds);
   }
-  runner::Json doc = runner::Json::object();
-  doc.set("bench", g_bench_name);
-  doc.set("wall_seconds", wall);
-  doc.set("peak_rss_bytes", stats::process_peak_rss_bytes());
-  doc.set("scopes", runner::profile_to_json(snapshot));
-  runner::write_json(out_dir("results") + "/" + g_bench_name + ".profile.json",
-                     doc);
+  obs::write_manifest(manifest_path(), m);
 }
 
 /// Collectors handed out by new_collector() for benches that build
@@ -231,9 +204,6 @@ void write_stats_dump(
     const std::vector<std::unique_ptr<stats::Collector>>& collectors) {
   stats::Registry merged;
   for (const auto& c : collectors) merged.merge(c->registry());
-  // Feed the process-wide OpenMetrics registry too: a bench may dump both
-  // a sweep and ad-hoc collectors, and the .prom file reflects their sum.
-  prom_registry().merge(merged);
 
   runner::Json doc = runner::Json::object();
   doc.set("bench", g_bench_name);
@@ -439,12 +409,14 @@ std::vector<sim::RunResult> run_sweep(ecc::SystemScale scale) {
 }
 
 /// The numeric ECCSIM_MC_* knobs; 0 means unset (engine-default chunk
-/// size, scaled system budget, no early stop).  Parsed strictly: `4x` or
-/// `abc` exits 2, whether it came from the env or the --mc-* flag.
+/// size, scaled system budget, no early stop, no chunk delay).  Parsed
+/// strictly: `4x` or `abc` exits 2, whether it came from the env or the
+/// --mc-* flag.
 struct McEnv {
   unsigned chunk = 0;
   unsigned systems = 0;
   double target_rel_ci = 0.0;
+  unsigned chunk_delay_ms = 0;
 };
 
 McEnv mc_env() {
@@ -460,6 +432,10 @@ McEnv mc_env() {
   if (const char* v = std::getenv("ECCSIM_MC_TARGET_REL_CI")) {
     e.target_rel_ci = parse_double(
         prog, "ECCSIM_MC_TARGET_REL_CI/--mc-target-rel-ci", v);
+  }
+  if (const char* v = std::getenv("ECCSIM_MC_CHUNK_DELAY_MS")) {
+    e.chunk_delay_ms =
+        parse_uint<unsigned>(prog, "ECCSIM_MC_CHUNK_DELAY_MS", v);
   }
   return e;
 }
@@ -613,42 +589,31 @@ void init(int argc, char** argv) {
   m.extra.emplace_back("fidelity", smoke_mode()   ? "smoke"
                                    : quick_mode() ? "quick"
                                                   : "full");
-  // Resolving the GF kernel here makes a bad ECCSIM_KERNEL fail fast at
-  // startup (exit 2, like any malformed flag) instead of mid-sweep, and
-  // stamps the manifest so every result names the kernel that computed it.
-  const gf::Kernel kern = gf::active_kernel();
-  m.extra.emplace_back("kernel", gf::kernel_name(kern));
+  // Kernel provenance: which GF kernel computes every result, what the CPU
+  // offered, and whether ECCSIM_KERNEL forced the choice.  Resolving the
+  // kernel here makes a bad ECCSIM_KERNEL fail fast at startup (exit 2,
+  // like any malformed flag) instead of mid-sweep.  Observation-only:
+  // results are kernel-invariant by the oracle guarantee (docs/KERNELS.md).
+  m.extra.emplace_back("kernel", gf::kernel_name(gf::active_kernel()));
+  std::string available;
+  for (gf::Kernel k :
+       {gf::Kernel::kScalar, gf::Kernel::kSlice8, gf::Kernel::kSimd}) {
+    if (!gf::kernel_available(k)) continue;
+    if (!available.empty()) available += ',';
+    available += gf::kernel_name(k);
+  }
+  m.extra.emplace_back("kernels_available", available);
+  m.extra.emplace_back("simd_avx2",
+                       gf::kernel_simd_uses_avx2() ? "true" : "false");
+  if (const char* forced = std::getenv("ECCSIM_KERNEL")) {
+    m.extra.emplace_back("kernel_override", forced);
+  }
   obs::write_manifest(manifest_path(), m);
 
-  // Companion kernel-provenance document (schema eccsim.kernels/1, see
-  // docs/OBSERVABILITY.md): which kernel ran, whether it was forced, and
-  // what the CPU offered.  Observation-only; results are kernel-invariant
-  // by the oracle guarantee (docs/KERNELS.md).
-  {
-    runner::Json kdoc = runner::Json::object();
-    kdoc.set("schema", "eccsim.kernels/1");
-    kdoc.set("bench", g_bench_name);
-    kdoc.set("active", gf::kernel_name(kern));
-    const char* forced = std::getenv("ECCSIM_KERNEL");
-    kdoc.set("override", forced != nullptr ? runner::Json(forced)
-                                           : runner::Json(nullptr));
-    runner::Json avail = runner::Json::array();
-    for (gf::Kernel k : {gf::Kernel::kScalar, gf::Kernel::kSlice8,
-                         gf::Kernel::kSimd}) {
-      if (gf::kernel_available(k)) avail.push_back(gf::kernel_name(k));
-    }
-    kdoc.set("available", std::move(avail));
-    kdoc.set("simd_avx2", gf::kernel_simd_uses_avx2());
-    runner::write_json(
-        out_dir("results") + "/" + g_bench_name + ".kernels.json", kdoc);
-  }
-
-  // Touch the profiler's (and exporter's) function-local statics now so
-  // they are constructed before the atexit handler registers -- C++ tears
-  // static storage down in reverse order, so this guarantees they outlive
-  // it.
+  // Touch the profiler's function-local statics now so they are
+  // constructed before the atexit handler registers -- C++ tears static
+  // storage down in reverse order, so this guarantees they outlive it.
   (void)stats::Profiler::snapshot();
-  (void)prom_registry();
   std::atexit(&profile_report);
 }
 
@@ -689,6 +654,7 @@ faults::McOptions mc_options() {
   const McEnv env = mc_env();
   opts.chunk_size = env.chunk;
   opts.target_rel_ci = env.target_rel_ci;
+  opts.chunk_delay_ms = env.chunk_delay_ms;
   if (const char* v = std::getenv("ECCSIM_MC_CHECKPOINT")) {
     opts.checkpoint_path = v;
   }

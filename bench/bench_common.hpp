@@ -21,8 +21,9 @@
 // each freshly simulated sweep writes results/sweep_<scale>.json with
 // per-cell metrics, timings, and the realized parallel speedup.  Every run
 // additionally writes results/<bench>.manifest.json (git SHA, DRAM
-// generation, host, timings, exit status; docs/OBSERVABILITY.md) and, with
-// --stats, an OpenMetrics results/<bench>.prom export.
+// generation, host, GF-kernel provenance, timings, exit status and, with
+// --stats, the scope profile; docs/OBSERVABILITY.md), and --stats adds
+// results/<bench>.stats.json.
 #pragma once
 
 #include <string>
@@ -43,7 +44,8 @@ namespace eccsim::bench {
 /// Flags:
 ///   --stats           enable the observability layer (= ECCSIM_STATS=1):
 ///                     per-cell stat registries, epoch time series, a
-///                     results/<bench>.stats.json dump, and a summary table
+///                     results/<bench>.stats.json dump, a summary table,
+///                     and the scope profile in the run manifest
 ///   --stats-epoch=N   epoch length in memory cycles (implies --stats)
 ///   --trace=DIR       Chrome trace-event files, one per sweep cell, in DIR
 ///                     (loadable in Perfetto / chrome://tracing)

@@ -26,7 +26,7 @@
 # "-" means none.
 MATRIX='
 ddr3   fresh      $R                  $FULL                   fig10
-smoke  base       -                   $SMOKE,stdout,$KJSON    fig10 --smoke
+smoke  base       -                   $SMOKE,stdout,$MANIFEST fig10 --smoke
 smoke  kernel=*   $W/smoke/base       $SMOKE,stdout           ECCSIM_KERNEL=$k fig10 --smoke
 smoke  telemetry  $W/smoke/base       $SMOKE                  telemetry
 smoke  replay     $W/smoke/base       $SMOKE,stdout           record_all && fig10 --smoke --trace-in traces
@@ -44,7 +44,7 @@ mc     fig08_eol_correction_fraction  $W/mc/$variant/ref  stdout,bench_results/s
 '
 FULL=bench_results/sweep_quad.csv,bench_results/fig10_epi_quad.csv
 SMOKE=bench_results/sweep_quad_smoke.csv,bench_results/smoke/fig10_epi_quad.csv
-KJSON=results/smoke/fig10_epi_quad.kernels.json
+MANIFEST=results/smoke/fig10_epi_quad.manifest.json
 
 all="ddr3 smoke golden fleet mc"
 build=${1:-build}
@@ -81,10 +81,10 @@ telemetry() {  # every observation channel on, and each one materialized
   grep -q '"schema": "eccsim.heartbeat/1"' status.json &&
     grep -q '"final": true' status.json ||
     { echo "no final heartbeat snapshot in status.json" >&2; return 1; }
-  grep -q '"status": "completed"' results/smoke/fig10_epi_quad.manifest.json ||
+  grep -q '"status": "completed"' $MANIFEST ||
     { echo "manifest is not marked completed" >&2; return 1; }
-  [ -s results/smoke/fig10_epi_quad.prom ] ||
-    { echo "no OpenMetrics export" >&2; return 1; }
+  sed -n '/"profile": {/,$p' $MANIFEST | grep -q '"calls": [1-9]' ||
+    { echo "manifest carries no scope profile" >&2; return 1; }
 }
 
 record_all() {  # every paper workload, deep enough for a smoke replay
@@ -161,9 +161,10 @@ while read -r group variant base files cmd; do
   eval "base=\"$base\" files=\"$files\""
   case $variant in
     kernel=\*)
-      ks=$(sed -n '/"available"/,/\]/p' "$W/smoke/base/$KJSON" 2>/dev/null |
-           grep -o '"[a-z0-9]*"' | tr -d '"' | grep -xE 'scalar|slice8|simd')
-      [ -n "$ks" ] || fail "$group/$variant" "no kernels listed in the baseline's $KJSON"
+      ks=$(sed -n 's/.*"kernels_available": "\([^"]*\)".*/\1/p' \
+             "$W/smoke/base/$MANIFEST" 2>/dev/null |
+           tr , '\n' | grep -xE 'scalar|slice8|simd')
+      [ -n "$ks" ] || fail "$group/$variant" "no kernels_available in the baseline's $MANIFEST"
       for k in $ks; do row "$group" "kernel=$k" "$base" "$files" "$cmd"; done ;;
     *) row "$group" "$variant" "$base" "$files" "$cmd" ;;
   esac

@@ -24,16 +24,9 @@ void RunningStat::merge(const RunningStat& other) {
   max_ = std::max(max_, other.max_);
 }
 
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
 namespace {
 
-/// Shared nearest-rank lookup: smallest value with at least p% of samples
+/// Nearest-rank lookup: smallest value with at least p% of samples
 /// at or below it.  p = 0 maps to the minimum, p = 100 to the maximum.
 double nearest_rank(const std::vector<double>& sorted, double p) {
   p = std::clamp(p, 0.0, 100.0);
@@ -45,32 +38,6 @@ double nearest_rank(const std::vector<double>& sorted, double p) {
 }
 
 }  // namespace
-
-double SampleSet::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-  return nearest_rank(sorted_, p);
-}
-
-double SampleSet::min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::max() const {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-void SampleSet::merge(const SampleSet& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_valid_ = false;
-}
 
 QuantileReservoir::QuantileReservoir(std::size_t cap) : cap_(cap) {
   if (cap == 0) {

@@ -1,6 +1,6 @@
 // Streaming statistics used throughout the simulator and the benchmark
 // harness: single-pass mean/variance (Welford), percentile estimation over
-// retained or sketched samples, and the geometric mean used by the paper's
+// a bounded sample sketch, and the geometric mean used by the paper's
 // cross-workload averages.  (The registry's histogram type is
 // stats::Histogram in src/stats.)
 #pragma once
@@ -44,39 +44,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Retains all samples; supports exact percentiles.  Used for the Monte
-/// Carlo experiments that report 99.9th-percentile outcomes (Fig. 8).
-///
-/// Contract: the set is add-only (no removal or mutation of recorded
-/// samples).  percentile() caches a sorted copy; add() and merge()
-/// invalidate that cache explicitly, so interleaving adds and percentile
-/// queries is always correct -- just O(n log n) per query after a
-/// mutation.
-class SampleSet {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_valid_ = false;
-  }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  std::size_t count() const { return samples_.size(); }
-
-  double mean() const;
-  /// Exact percentile by nearest-rank; p in [0, 100] (clamped).
-  /// p = 0 returns the minimum, p = 100 the maximum.
-  double percentile(double p) const;
-  double min() const;
-  double max() const;
-
-  const std::vector<double>& samples() const { return samples_; }
-  void merge(const SampleSet& other);
-
- private:
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;  // lazily (re)built by percentile()
-  mutable bool sorted_valid_ = false;
 };
 
 /// Bounded-memory percentile sketch for Monte Carlo populations too large

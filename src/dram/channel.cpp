@@ -54,7 +54,7 @@ Channel::Channel(const ChannelConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument(
         "Channel: tXP, tRP and tCCD_L must not exceed tRC");
   }
-  acts_.resize(window_limit());
+  acts_.resize(cfg_.scheduler_window);
   ranks_.resize(cfg_.ranks);
   for (auto& r : ranks_) {
     r.banks.resize(cfg_.banks);
@@ -70,7 +70,7 @@ bool Channel::enqueue(const MemRequest& req) {
     throw std::out_of_range("Channel::enqueue: rank/bank out of range");
   }
   // A request landing inside the window is a new candidate: decide again.
-  if (queue_.size() < window_limit()) wake_ = 0;
+  if (queue_.size() < cfg_.scheduler_window) wake_ = 0;
   queue_.push_back(req);
   return true;
 }
@@ -527,8 +527,9 @@ void Channel::tick(std::uint64_t now, std::vector<MemCompletion>& out) {
   // Scheduler: examine up to `scheduler_window` oldest transactions, pick
   // the one that can activate earliest; break ties in favor of the
   // (rank, bank, row) with the most queued requests (DRAMsim's
-  // Most-Pending policy), then age.  FCFS degenerates to a window of 1.
-  const std::size_t window = std::min(queue_.size(), window_limit());
+  // Most-Pending policy), then age.  A window of 1 is strict FCFS.
+  const std::size_t window =
+      std::min<std::size_t>(queue_.size(), cfg_.scheduler_window);
   std::size_t best = 0;
   std::uint64_t best_act = ~0ULL;
   std::size_t ties = 0;

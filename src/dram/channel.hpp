@@ -95,12 +95,6 @@ enum class RowPolicy : std::uint8_t {
   kOpenPage,
 };
 
-/// Transaction selection policy.
-enum class SchedulerPolicy : std::uint8_t {
-  kMostPending,  ///< DRAMsim's Most-Pending (ready-first, row-match tiebreak)
-  kFcfs,         ///< strict arrival order
-};
-
 /// Configuration of one channel (shared by all channels of a system).
 /// A "channel" here is one independently-scheduled command/data bus: for
 /// DDR5 each physical channel contributes device.sub_channels of these,
@@ -113,11 +107,12 @@ struct ChannelConfig {
                                ///< and burst together; fractional when a
                                ///< physical rank splits across sub-channels
   std::uint32_t queue_depth = 64;
-  std::uint32_t scheduler_window = 16;  ///< candidates examined per decision
+  /// Oldest transactions examined per decision by DRAMsim's Most-Pending
+  /// policy (ready-first, row-match tiebreak); 1 is strict arrival order.
+  std::uint32_t scheduler_window = 16;
   std::uint32_t idle_pd_timeout = 100;  ///< cycles idle before power-down
   bool powerdown_enabled = true;        ///< close-page sleep (Sec. IV-B)
   RowPolicy row_policy = RowPolicy::kClosePage;
-  SchedulerPolicy scheduler = SchedulerPolicy::kMostPending;
   std::uint32_t open_row_timeout = 200;  ///< idle-close under open-page
 };
 
@@ -204,12 +199,6 @@ class Channel {
     // has been charged.
     std::uint64_t bg_accounted_until = 0;
   };
-
-  /// Window size a decision examines: 1 under FCFS.
-  std::size_t window_limit() const {
-    return cfg_.scheduler == SchedulerPolicy::kFcfs ? 1
-                                                    : cfg_.scheduler_window;
-  }
 
   /// True if `req` is an open-page row hit at `now` (CAS, no ACT).
   bool row_hit(const BankState& bank, const MemRequest& req,

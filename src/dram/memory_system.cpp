@@ -33,7 +33,6 @@ ChannelConfig MemorySystem::channel_config() const {
   cc.queue_depth = cfg_.queue_depth;
   cc.powerdown_enabled = cfg_.powerdown_enabled;
   cc.row_policy = cfg_.row_policy;
-  cc.scheduler = cfg_.scheduler;
   return cc;
 }
 

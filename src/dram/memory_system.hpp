@@ -30,7 +30,6 @@ struct MemSystemConfig {
   std::uint32_t queue_depth = 64;
   bool powerdown_enabled = true;
   RowPolicy row_policy = RowPolicy::kClosePage;
-  SchedulerPolicy scheduler = SchedulerPolicy::kMostPending;
 
   /// Logical geometry implied by this configuration: each bank holds
   /// data_chips * (chip_capacity / chip_banks) bytes, organized as 4KB

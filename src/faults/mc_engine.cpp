@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <map>
@@ -52,21 +51,10 @@ std::unordered_map<std::uint64_t, std::vector<double>> load_checkpoint(
   return mc_checkpoint_load(in, run_id, nchunks, chunk_systems, nfields);
 }
 
-/// Test hook: per-chunk sleep so kill-and-resume checks can reliably
-/// interrupt an otherwise fast smoke run (the mc rows of
-/// scripts/identity_check.sh).
-long chunk_delay_ms() {
-  static const long delay = [] {
-    const char* v = std::getenv("ECCSIM_MC_CHUNK_DELAY_MS");
-    return v != nullptr ? std::strtol(v, nullptr, 10) : 0L;
-  }();
-  return delay;
-}
-
-void maybe_delay() {
-  const long ms = chunk_delay_ms();
-  if (ms <= 0) return;
-  timespec ts{ms / 1000, (ms % 1000) * 1000000L};
+void maybe_delay(unsigned ms) {
+  if (ms == 0) return;
+  timespec ts{static_cast<time_t>(ms / 1000),
+              static_cast<long>(ms % 1000) * 1000000L};
   nanosleep(&ts, nullptr);
 }
 
@@ -221,7 +209,7 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
   const auto compute_chunk = [&](std::uint64_t ci,
                                  const std::atomic<std::uint64_t>* stop_before)
       -> std::vector<double> {
-    maybe_delay();
+    maybe_delay(opts.chunk_delay_ms);
     const unsigned base = chunk_base(ci);
     const unsigned count = chunk_systems(ci);
     std::vector<double> fields(static_cast<std::size_t>(count) * nfields,

@@ -65,6 +65,9 @@ struct McOptions {
   /// runs -- even from different binaries -- may share one file; chunks
   /// are matched by a hash of the run tag and sampling parameters.
   std::string checkpoint_path;
+  /// Milliseconds to sleep before each chunk (0 = none): lets a
+  /// kill-and-resume check interrupt an otherwise fast run.
+  unsigned chunk_delay_ms = 0;
   /// Destination for mc.* counters/series (nullptr = no stats).
   stats::Registry* stats = nullptr;
 };

@@ -40,6 +40,16 @@ runner::Json to_json(const Manifest& m) {
     for (const auto& [key, value] : m.extra) extra.set(key, value);
     doc.set("extra", extra);
   }
+  if (!m.profile.empty()) {
+    runner::Json profile = runner::Json::object();
+    for (const auto& [scope, totals] : m.profile) {
+      runner::Json s = runner::Json::object();
+      s.set("calls", totals.calls);
+      s.set("seconds", totals.seconds);
+      profile.set(scope, s);
+    }
+    doc.set("profile", profile);
+  }
   return doc;
 }
 
@@ -67,6 +77,14 @@ Manifest manifest_from_json(const runner::Json& doc) {
   if (doc.contains("extra")) {
     for (const auto& [key, value] : doc.at("extra").members()) {
       m.extra.emplace_back(key, value.as_string());
+    }
+  }
+  if (doc.contains("profile")) {
+    for (const auto& [scope, totals] : doc.at("profile").members()) {
+      m.profile.emplace_back(
+          scope, stats::ScopeTotals{static_cast<std::uint64_t>(
+                                        totals.at("calls").as_number()),
+                                    totals.at("seconds").as_number()});
     }
   }
   return m;

@@ -1,14 +1,15 @@
 // Run manifest: one JSON document per run recording everything needed to
 // interpret (and re-run) the artifacts a bench or tool produced -- git
 // SHA, DRAM generation, seed regime, thread count, host identity,
-// start/end timestamps, and exit status.
+// start/end timestamps, exit status, GF-kernel provenance (in `extra`)
+// and, for profiled runs, the scoped-profiler totals.
 //
 // The bench front-end (bench::init) writes the manifest twice: once at
 // startup with status "running" and once from its atexit hook with
-// status "completed"/"failed" plus the final wall-clock and peak RSS.  A
-// reader that finds a stale "running" manifest knows the process died
-// without reaching its exit hook.  Writes go through atomic_write_file,
-// so pollers never see a torn document.
+// status "completed"/"failed" plus the final wall-clock, peak RSS and
+// profile.  A reader that finds a stale "running" manifest knows the
+// process died without reaching its exit hook.  Writes go through
+// atomic_write_file, so pollers never see a torn document.
 //
 // The Monte Carlo engine flags checkpoint restores via note_resumed(), so
 // a kill/resume run's final manifest records `"resumed": true`.
@@ -18,6 +19,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "stats/scope.hpp"
 
 namespace eccsim::runner {
 class Json;
@@ -41,8 +44,11 @@ struct Manifest {
   std::string status = "running";  ///< running -> completed | failed
   int exit_code = 0;
   bool resumed = false;            ///< restored MC chunks from a checkpoint
-  /// Free-form extra fields (fidelity mode, trace dirs, ...).
+  /// Free-form extra fields (fidelity mode, GF kernel, ...).
   std::vector<std::pair<std::string, std::string>> extra;
+  /// Scoped-profiler totals by scope name; empty (and omitted from the
+  /// JSON) unless the profiler ran.
+  std::vector<std::pair<std::string, stats::ScopeTotals>> profile;
 };
 
 runner::Json to_json(const Manifest& m);

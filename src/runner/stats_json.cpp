@@ -70,16 +70,4 @@ Json to_json(const stats::Registry& reg) {
   return j;
 }
 
-Json profile_to_json(
-    const std::vector<std::pair<std::string, stats::ScopeTotals>>& snapshot) {
-  Json j = Json::object();
-  for (const auto& [name, totals] : snapshot) {
-    Json s = Json::object();
-    s.set("calls", totals.calls);
-    s.set("seconds", totals.seconds);
-    j.set(name, s);
-  }
-  return j;
-}
-
 }  // namespace eccsim::runner

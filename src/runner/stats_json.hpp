@@ -1,5 +1,4 @@
-// JSON encoding of the observability layer (stats::Registry and the
-// scoped profiler) into the runner's Json document model.
+// JSON encoding of stats::Registry into the runner's Json document model.
 //
 // Lives in the runner -- not in src/stats -- because the stats library
 // sits below every simulation component while the Json model sits above
@@ -8,7 +7,6 @@
 #pragma once
 
 #include "runner/json.hpp"
-#include "stats/scope.hpp"
 #include "stats/stats.hpp"
 
 namespace eccsim::runner {
@@ -18,10 +16,5 @@ namespace eccsim::runner {
 /// and histograms), and the derived series.  The registry should be
 /// finalized first; gauge values read 0.0 otherwise.
 Json to_json(const stats::Registry& reg);
-
-/// Encodes a profiler snapshot: per-scope call counts and total seconds,
-/// sorted by scope name.
-Json profile_to_json(
-    const std::vector<std::pair<std::string, stats::ScopeTotals>>& snapshot);
 
 }  // namespace eccsim::runner

@@ -1,6 +1,7 @@
 // Scoped wall-clock profiling: STATS_SCOPE("codec.rs_decode") at the top
 // of a function (or block) attributes its wall-clock to that name in the
-// process-wide profile that lands in results/<bench>.stats.json.
+// process-wide profile that lands in the `profile` object of the run's
+// results/<bench>.manifest.json.
 //
 // Cost model: when profiling is disabled (the default) a scope is one
 // relaxed atomic load and a predictable branch -- cheap enough for

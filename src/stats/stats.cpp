@@ -9,6 +9,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/parse.hpp"
 #include "stats/trace.hpp"
 
 namespace eccsim::stats {
@@ -288,12 +289,12 @@ std::vector<Registry::EntryView> Registry::view() const {
 
 namespace {
 
+/// Strict: `5x`, `abc` or an empty value exits 2 instead of silently
+/// running with the default.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
+  return v != nullptr ? parse_uint<std::uint64_t>("eccsim", name, v)
+                      : fallback;
 }
 
 }  // namespace

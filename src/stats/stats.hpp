@@ -224,7 +224,8 @@ class Registry {
 
 class Tracer;
 
-/// Observability knobs for one run, normally parsed from the environment:
+/// Observability knobs for one run, normally parsed from the environment
+/// (the numbers strictly: a malformed value exits 2):
 ///   ECCSIM_STATS=1        master switch (the bench --stats flag sets it)
 ///   STATS_EPOCH=N         epoch length in memory cycles
 ///   STATS_TRACE=DIR       enable Chrome tracing, one file per run in DIR

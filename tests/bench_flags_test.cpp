@@ -1,7 +1,8 @@
 // Flag handling of the shared bench front-end: unknown flags must be
 // rejected with exit code 2 and a pointer at --help, --help and
 // --list-workloads must succeed, --trace-point must validate its value,
-// and the numeric --mc-* flags / ECCSIM_MC_* env must be whole numbers.
+// and the numeric --mc-* / --stats-epoch flags and their env knobs must be
+// whole numbers.
 // Death tests: init() terminates the process on these paths.
 #include <gtest/gtest.h>
 
@@ -141,6 +142,13 @@ TEST(BenchFlagsDeathTest, HalfParsedMcFlagsRejected) {
               ::testing::ExitedWithCode(2),
               "ECCSIM_MC_TARGET_REL_CI/--mc-target-rel-ci expects a number.*"
               "got '0.0x5'");
+}
+
+TEST(BenchFlagsDeathTest, HalfParsedStatsEpochRejected) {
+  // --stats-epoch sets STATS_EPOCH, which init() reads (strictly) before
+  // it boots the run manifest.
+  EXPECT_EXIT(run_init({"--stats-epoch=5x"}), ::testing::ExitedWithCode(2),
+              "STATS_EPOCH expects an integer.*got '5x'");
 }
 
 TEST(BenchFlagsDeathTest, HalfParsedMcEnvRejected) {

@@ -109,50 +109,6 @@ TEST(RunningStat, MergeEqualsCombined) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
-TEST(SampleSet, ExactPercentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-}
-
-TEST(SampleSet, PercentileAfterMoreSamples) {
-  SampleSet s;
-  s.add(5);
-  EXPECT_DOUBLE_EQ(s.percentile(99.9), 5.0);
-  s.add(50);
-  s.add(500);
-  EXPECT_DOUBLE_EQ(s.percentile(99.9), 500.0);  // sorted cache invalidated
-}
-
-TEST(SampleSet, SingleSampleIsEveryPercentile) {
-  SampleSet s;
-  s.add(7.5);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 7.5);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 7.5);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 7.5);
-}
-
-TEST(SampleSet, CacheInvalidatesOnEveryInterleavedAdd) {
-  // The add-only contract: percentile() may cache the sorted view, but
-  // any add() must invalidate it -- even when the new sample lands below
-  // the current minimum.
-  SampleSet s;
-  s.add(10);
-  s.add(20);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-  s.add(1);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 20.0);
-  s.add(30);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 30.0);
-}
-
 TEST(QuantileReservoir, ExactWhileUnderCapacity) {
   QuantileReservoir r(100);
   for (int i = 1; i <= 50; ++i) r.add(i, static_cast<std::uint64_t>(i * 7));

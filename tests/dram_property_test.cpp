@@ -218,7 +218,7 @@ TEST(OpenPage, FcfsSchedulerStillCorrect) {
   cc.device = micron_2gb(DeviceWidth::kX8);
   cc.ranks = 2;
   cc.chips_per_rank = 9;
-  cc.scheduler = SchedulerPolicy::kFcfs;
+  cc.scheduler_window = 1;  // strict arrival order
   Channel ch(cc);
   for (unsigned i = 0; i < 64; ++i) {
     MemRequest r;
@@ -272,7 +272,7 @@ class HashingObserver : public CommandObserver {
 struct StreamCase {
   Generation gen;
   RowPolicy row_policy;
-  SchedulerPolicy scheduler;
+  std::uint32_t scheduler_window;
   bool powerdown;
   std::uint64_t commands;  ///< pinned command count
   std::uint64_t digest;    ///< pinned digest of commands, completions, stats
@@ -286,7 +286,7 @@ ChannelConfig stream_config(const StreamCase& c) {
   cc.chips_per_rank = 9.0 / cc.device.sub_channels;
   cc.powerdown_enabled = c.powerdown;
   cc.row_policy = c.row_policy;
-  cc.scheduler = c.scheduler;
+  cc.scheduler_window = c.scheduler_window;
   return cc;
 }
 
@@ -407,8 +407,9 @@ TEST_P(SchedulerStreamTest, CommandStreamIsPinned) {
 
 constexpr auto kClose = RowPolicy::kClosePage;
 constexpr auto kOpen = RowPolicy::kOpenPage;
-constexpr auto kMp = SchedulerPolicy::kMostPending;
-constexpr auto kFifo = SchedulerPolicy::kFcfs;
+// Most-Pending over the default 16-deep window, and FCFS as a window of 1.
+constexpr std::uint32_t kMp = 16;
+constexpr std::uint32_t kFifo = 1;
 
 INSTANTIATE_TEST_SUITE_P(
     Pinned, SchedulerStreamTest,
@@ -443,7 +444,7 @@ INSTANTIATE_TEST_SUITE_P(
       const StreamCase& c = info.param;
       return to_string(c.gen) +
              (c.row_policy == kClose ? "_close" : "_open") +
-             (c.scheduler == kMp ? "_mp" : "_fcfs") +
+             (c.scheduler_window == kMp ? "_mp" : "_fcfs") +
              (c.powerdown ? "_pd" : "_nopd");
     });
 

@@ -1,8 +1,8 @@
 // The observability layer: atomic status-file publishing (a reader must
 // never observe a torn document), heartbeat sequencing/throttling, run
-// manifest round-trips and the MC engine's resumed flag, the OpenMetrics
-// exporter's output format, and perf-history append/compare semantics --
-// including the >15% regression gate the CI perf job relies on.
+// manifest round-trips and the MC engine's resumed flag, and perf-history
+// append/compare semantics -- including the >15% regression gate the CI
+// perf job relies on.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,11 +16,9 @@
 #include "faults/mc_engine.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/manifest.hpp"
-#include "obs/openmetrics.hpp"
 #include "obs/perf_history.hpp"
 #include "obs/run_info.hpp"
 #include "runner/json.hpp"
-#include "stats/stats.hpp"
 
 namespace eccsim::obs {
 namespace {
@@ -215,7 +213,8 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
   m.status = "completed";
   m.exit_code = 0;
   m.resumed = true;
-  m.extra = {{"fidelity", "smoke"}};
+  m.extra = {{"fidelity", "smoke"}, {"kernels_available", "scalar,slice8"}};
+  m.profile = {{"dram.scheduler", {965098, 0.199}}, {"sim.run", {4, 1.5}}};
 
   const runner::Json doc = to_json(m);
   EXPECT_EQ(doc.at("schema").as_string(), "eccsim.manifest/1");
@@ -236,6 +235,12 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(r.exit_code, m.exit_code);
   EXPECT_EQ(r.resumed, m.resumed);
   EXPECT_EQ(r.extra, m.extra);
+  ASSERT_EQ(r.profile.size(), m.profile.size());
+  for (std::size_t i = 0; i < m.profile.size(); ++i) {
+    EXPECT_EQ(r.profile[i].first, m.profile[i].first);
+    EXPECT_EQ(r.profile[i].second.calls, m.profile[i].second.calls);
+    EXPECT_DOUBLE_EQ(r.profile[i].second.seconds, m.profile[i].second.seconds);
+  }
 }
 
 TEST(Manifest, RunningManifestSerializesNullFinishTime) {
@@ -244,8 +249,10 @@ TEST(Manifest, RunningManifestSerializesNullFinishTime) {
   const runner::Json doc = to_json(m);
   EXPECT_TRUE(doc.at("finished_utc").is_null());
   EXPECT_EQ(doc.at("status").as_string(), "running");
+  EXPECT_FALSE(doc.contains("profile")) << "unprofiled runs carry no profile";
   const Manifest r = manifest_from_json(doc);
   EXPECT_TRUE(r.finished_utc.empty());
+  EXPECT_TRUE(r.profile.empty());
 }
 
 TEST(Manifest, NoteExitCodeMarksFailure) {
@@ -291,60 +298,6 @@ TEST(Manifest, McCheckpointResumeSetsResumedFlag) {
 
   manifest() = Manifest{};
   std::remove(ckpt.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// OpenMetrics exporter
-
-TEST(OpenMetrics, RendersCountersDistributionsAndHistograms) {
-  stats::Registry reg;
-  reg.counter("dram.ch0.acts")->inc(42);
-  reg.accum("energy.total_pj")->add(1.5);
-  reg.distribution("mc.chunk_seconds")->add(2.0);
-  reg.distribution("mc.chunk_seconds")->add(4.0);
-  stats::Histogram* h = reg.histogram("lat.read", 0.0, 100.0, 4);
-  h->add(10.0);
-  h->add(30.0);
-  h->add(999.0);  // clamps into the top bin
-
-  const std::string text = to_openmetrics(reg, {{"bench", "obs_test"}});
-  EXPECT_NE(text.find("# TYPE eccsim_dram_ch0_acts counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_dram_ch0_acts_total{bench=\"obs_test\"} 42\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_energy_total_pj_total{bench=\"obs_test\"} "
-                      "1.5\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_mc_chunk_seconds_count{bench=\"obs_test\"} "
-                      "2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("eccsim_mc_chunk_seconds_sum{bench=\"obs_test\"} 6\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE eccsim_lat_read histogram\n"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("eccsim_lat_read_bucket{bench=\"obs_test\",le=\"25\"} 1\n"),
-      std::string::npos);
-  // The top bin clamps overflow, so its upper bound is +Inf and the
-  // cumulative count includes the out-of-range sample.
-  EXPECT_NE(
-      text.find("eccsim_lat_read_bucket{bench=\"obs_test\",le=\"+Inf\"} 3\n"),
-      std::string::npos);
-  EXPECT_NE(text.find("eccsim_lat_read_count{bench=\"obs_test\"} 3\n"),
-            std::string::npos);
-  // Mandatory terminator, exactly at the end.
-  ASSERT_GE(text.size(), 6u);
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-}
-
-TEST(OpenMetrics, EscapesLabelValuesAndWorksWithoutLabels) {
-  stats::Registry reg;
-  reg.counter("c")->inc();
-  const std::string text =
-      to_openmetrics(reg, {{"path", "a\"b\\c\nd"}});
-  EXPECT_NE(text.find("path=\"a\\\"b\\\\c\\nd\""), std::string::npos);
-  const std::string bare = to_openmetrics(reg);
-  EXPECT_NE(bare.find("eccsim_c_total 1\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

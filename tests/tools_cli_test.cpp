@@ -1,15 +1,22 @@
 // Strict flag parsing in the tracetool and benchtool CLIs and in the
 // numeric environment knobs every bench reads: a number that is only half
 // a number (`10k`, `0.15x`, `abc`) must exit 2 with a usage message
-// instead of running with whatever prefix strtoul could read.  Spawns the
-// real binaries.
+// instead of running with whatever prefix strtoul could read.  Also pins
+// the run record of a `--stats` bench run: the exact files it writes and
+// the kernel provenance and scope profile its manifest carries.  Spawns
+// the real binaries.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+
+#include "runner/json.hpp"
 
 namespace {
 
@@ -90,7 +97,53 @@ TEST(EnvKnobs, HalfParsedNumbersExitWithUsageError) {
     expect_usage_error(in_dir + "ECCSIM_STATUS_INTERVAL_MS=" + bad + bench,
                        "ECCSIM_STATUS_INTERVAL_MS expects an integer");
   }
+  for (const char* knob :
+       {"STATS_EPOCH", "STATS_TRACE_LIMIT", "ECCSIM_MC_CHUNK_DELAY_MS"}) {
+    for (const char* bad : {"5x", "abc", "''", "-1"}) {
+      expect_usage_error(in_dir + knob + "=" + bad + bench,
+                         (std::string(knob) + " expects an integer").c_str());
+    }
+  }
   EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
+// One --stats run leaves one record: the table (CSV + JSON), the merged
+// stats dump and the manifest -- which carries the GF-kernel provenance
+// and the scope profile, so no side file repeats them.
+TEST(RunRecord, StatsRunWritesManifestAndNoSideFiles) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "tools_cli_run_record";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const Outcome r = run("cd " + dir.string() + " && ECCSIM_SMOKE=1 " +
+                        ECCSIM_ABLATION_DEGRADED_BINARY + " --stats");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+
+  std::set<std::string> files;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (e.is_regular_file()) {
+      files.insert(std::filesystem::relative(e.path(), dir).string());
+    }
+  }
+  const std::set<std::string> expected = {
+      "bench_results/smoke/ablation_degraded.csv",
+      "results/smoke/ablation_degraded.json",
+      "results/smoke/ablation_degraded.manifest.json",
+      "results/smoke/ablation_degraded.stats.json"};
+  EXPECT_EQ(files, expected);
+
+  std::ifstream in(dir / "results/smoke/ablation_degraded.manifest.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const eccsim::runner::Json m = eccsim::runner::Json::parse(text.str());
+  EXPECT_EQ(m.at("schema").as_string(), "eccsim.manifest/1");
+  EXPECT_EQ(m.at("status").as_string(), "completed");
+  const eccsim::runner::Json& extra = m.at("extra");
+  EXPECT_FALSE(extra.at("kernel").as_string().empty());
+  EXPECT_NE(extra.at("kernels_available").as_string().find("scalar"),
+            std::string::npos);
+  ASSERT_TRUE(m.contains("profile"));
+  EXPECT_GT(m.at("profile").at("dram.scheduler").at("calls").as_number(), 0);
 }
 
 }  // namespace
