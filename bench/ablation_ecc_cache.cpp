@@ -31,6 +31,8 @@ int main(int argc, char** argv) {
     sim::SimOptions opts;
     opts.target_instructions = bench::target_instructions();
     opts.dedicated_ecc_cache_bytes = cfg.bytes;
+    opts.stats = bench::new_collector(
+        "milc", "lotecc5+parity-ecc" + std::to_string(cfg.bytes));
     sim::SystemSim s(desc, trace::workload_by_name("milc"),
                      sim::CpuConfig{}, opts);
     const auto r = s.run();

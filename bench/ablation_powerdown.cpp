@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
           ecc::make_scheme(id, ecc::SystemScale::kQuadEquivalent);
       sim::SimOptions o = opts;
       o.powerdown_enabled = pd;
+      o.stats = bench::new_collector(
+          "sjeng", ecc::to_string(id) + (pd ? "-pd" : "-nopd"));
       sim::SystemSim s(d, trace::workload_by_name("sjeng"),
                        sim::CpuConfig{}, o);
       const auto r = s.run();

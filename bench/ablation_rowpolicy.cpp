@@ -23,6 +23,9 @@ int main(int argc, char** argv) {
       sim::SimOptions opts;
       opts.target_instructions = bench::target_instructions();
       opts.row_policy = policy;
+      opts.stats = bench::new_collector(
+          wl, policy == dram::RowPolicy::kClosePage ? "lotecc5+parity-close"
+                                                    : "lotecc5+parity-open");
       sim::SystemSim s(desc, trace::workload_by_name(wl), sim::CpuConfig{},
                        opts);
       const auto r = s.run();

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
     sim::SimOptions opts;
     opts.target_instructions = bench::target_instructions();
     opts.scrub_read_interval = interval;
+    opts.stats = bench::new_collector(
+        "milc", "lotecc5+parity-scrub" + std::to_string(interval));
     sim::SystemSim s(desc, trace::workload_by_name("milc"),
                      sim::CpuConfig{}, opts);
     const auto r = s.run();

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
 
   Table t({"configuration", "EPI (pJ/instr)", "IPC", "MAPI",
            "EPI vs ck18"});
+  opts.stats = bench::new_collector("lbm", "chipkill18");
   const auto ck18 = sim::run_experiment(ecc::SchemeId::kChipkill18,
                                         ecc::SystemScale::kQuadEquivalent,
                                         "lbm", opts);
@@ -29,6 +30,9 @@ int main(int argc, char** argv) {
     ecc::SchemeDesc d = ecc::make_scheme(ecc::SchemeId::kLotEcc5Parity,
                                          ecc::SystemScale::kQuadEquivalent);
     d.speed_factor = speed;
+    char cell[32];
+    std::snprintf(cell, sizeof cell, "lotecc5+parity-speed%.0f", speed * 100);
+    opts.stats = bench::new_collector("lbm", cell);
     sim::SystemSim s(d, trace::workload_by_name("lbm"), sim::CpuConfig{},
                      opts);
     const auto r = s.run();

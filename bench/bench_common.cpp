@@ -449,19 +449,8 @@ void init(int argc, char** argv) {
     g_bench_name =
         slash == std::string::npos ? path : path.substr(slash + 1);
   }
-  // Valued flags accept both `--flag=value` and `--flag value`; returns
-  // the value and advances `i` past a space-separated one.
-  auto flag_value = [&](int& i, const std::string& arg,
-                        const std::string& name) -> const char* {
-    if (arg.rfind(name + "=", 0) == 0) return argv[i] + name.size() + 1;
-    if (arg != name) return nullptr;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: %s requires a value\n", g_bench_name.c_str(),
-                   name.c_str());
-      std::exit(2);
-    }
-    return argv[++i];
-  };
+  // Valued flags accept both `--flag=value` and `--flag value`.
+  const char* prog = g_bench_name.c_str();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
@@ -476,7 +465,7 @@ void init(int argc, char** argv) {
       setenv("ECCSIM_SMOKE", "1", 1);
     } else if (arg == "--quick") {
       setenv("ECCSIM_QUICK", "1", 1);
-    } else if ((v = flag_value(i, arg, "--dram")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i, "--dram")) != nullptr) {
       if (!dram::parse_generation(v)) {
         std::fprintf(stderr,
                      "%s: --dram must be ddr3, ddr4, or ddr5, got '%s'\n",
@@ -484,22 +473,27 @@ void init(int argc, char** argv) {
         std::exit(2);
       }
       setenv("ECCSIM_DRAM", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-systems")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i,
+                               "--mc-systems")) != nullptr) {
       setenv("ECCSIM_MC_SYSTEMS", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-chunk")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i, "--mc-chunk")) != nullptr) {
       setenv("ECCSIM_MC_CHUNK", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-target-rel-ci")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i,
+                               "--mc-target-rel-ci")) != nullptr) {
       setenv("ECCSIM_MC_TARGET_REL_CI", v, 1);
-    } else if ((v = flag_value(i, arg, "--mc-checkpoint")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i,
+                               "--mc-checkpoint")) != nullptr) {
       setenv("ECCSIM_MC_CHECKPOINT", v, 1);
-    } else if ((v = flag_value(i, arg, "--trace-in")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i, "--trace-in")) != nullptr) {
       setenv("ECCSIM_TRACE_IN", v, 1);
-    } else if ((v = flag_value(i, arg, "--trace-out")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i,
+                               "--trace-out")) != nullptr) {
       setenv("ECCSIM_TRACE_OUT", v, 1);
-    } else if ((v = flag_value(i, arg, "--trace-point")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i,
+                               "--trace-point")) != nullptr) {
       setenv("ECCSIM_TRACE_POINT", v, 1);
       (void)trace_point();  // reject anything but pre/post immediately
-    } else if ((v = flag_value(i, arg, "--status")) != nullptr) {
+    } else if ((v = flag_value(prog, argc, argv, i, "--status")) != nullptr) {
       setenv("ECCSIM_STATUS", v, 1);
     } else if (arg == "--progress") {
       setenv("ECCSIM_PROGRESS", "1", 1);

@@ -26,6 +26,7 @@
 # "-" means none.
 MATRIX='
 ddr3   fresh      $R                  $FULL                   fig10
+ddr3   ablations  $R                  $ABLATIONS              ablations
 smoke  base       -                   $SMOKE,stdout,$MANIFEST fig10 --smoke
 smoke  kernel=*   $W/smoke/base       $SMOKE,stdout           ECCSIM_KERNEL=$k fig10 --smoke
 smoke  telemetry  $W/smoke/base       $SMOKE                  telemetry
@@ -38,13 +39,15 @@ golden heartbeat  $R/traces/golden    $GOLDEN                 ECCSIM_STATUS=stat
 fleet  shards=1   -                   fleet.json              fleet --shards 1 --threads 1
 fleet  shards=2   $W/fleet/shards=1   fleet.json              fleet --shards 2
 fleet  shards=8   $W/fleet/shards=1   fleet.json              fleet --shards 8
-fleet  worker=4   $W/fleet/shards=1   fleet.json              fleet --shards 4 --mode worker --work-dir units
 mc     fig02_mtbf_channels            $W/mc/$variant/ref  stdout,bench_results/smoke/$variant.csv  kill_resume $variant
 mc     fig08_eol_correction_fraction  $W/mc/$variant/ref  stdout,bench_results/smoke/$variant.csv  kill_resume $variant
 '
 FULL=bench_results/sweep_quad.csv,bench_results/fig10_epi_quad.csv
 SMOKE=bench_results/sweep_quad_smoke.csv,bench_results/smoke/fig10_epi_quad.csv
 MANIFEST=results/smoke/fig10_epi_quad.manifest.json
+ABLATION_BENCHES="ablation_degraded ablation_rowpolicy ablation_ecc_cache ablation_powerdown ablation_scrub ablation_speedbin"
+ABLATIONS=$(for b in $ABLATION_BENCHES; do printf 'bench_results/%s.csv,' "$b"; done)
+ABLATIONS=${ABLATIONS%,}
 
 all="ddr3 smoke golden fleet mc"
 build=${1:-build}
@@ -74,6 +77,10 @@ failed=0
 
 # --- row commands (each runs inside its row directory) ---------------------
 fig10() { "$B/fig10_epi_quad" "$@"; }
+
+ablations() {  # the ablations that build SystemSims directly, under --stats
+  for b in $ABLATION_BENCHES; do "$B/$b" --stats >/dev/null || return 1; done
+}
 
 telemetry() {  # every observation channel on, and each one materialized
   ECCSIM_STATUS_INTERVAL_MS=0 fig10 --smoke --stats --status status.json \

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace eccsim {
 
@@ -33,6 +34,20 @@ double parse_double(const char* prog, const char* what, const char* text) {
     std::exit(2);
   }
   return v;
+}
+
+const char* flag_value(const char* prog, int argc, char** argv, int& i,
+                       const char* name) {
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(argv[i], name, n) == 0 && argv[i][n] == '=') {
+    return argv[i] + n + 1;
+  }
+  if (std::strcmp(argv[i], name) != 0) return nullptr;
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "%s: %s requires a value\n", prog, name);
+    std::exit(2);
+  }
+  return argv[++i];
 }
 
 }  // namespace eccsim

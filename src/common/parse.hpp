@@ -4,6 +4,7 @@
 // runs a different experiment.  These parsers accept only a whole value:
 // empty, signed, trailing-garbage, non-finite or out-of-range text prints
 // `<prog>: <what> expects ..., got '<text>'` and exits 2 (usage error).
+// flag_value() is the one valued-flag reader every CLI shares.
 #pragma once
 
 #include <limits>
@@ -24,5 +25,12 @@ T parse_uint(const char* prog, const char* what, const char* text) {
 /// Whole finite decimal number (strtod syntax, no leading whitespace);
 /// exits 2 on anything else.
 double parse_double(const char* prog, const char* what, const char* text);
+
+/// The value of flag `name` at argv[i], spelled `name=value` or
+/// `name value` (then `i` advances past the value); nullptr when argv[i]
+/// is not `name`.  A bare `name` with nothing after it prints
+/// `<prog>: <name> requires a value` and exits 2.
+const char* flag_value(const char* prog, int argc, char** argv, int& i,
+                       const char* name);
 
 }  // namespace eccsim

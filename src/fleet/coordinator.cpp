@@ -1,199 +1,27 @@
 #include "fleet/coordinator.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-#include <unordered_map>
-#include <utility>
+#include <algorithm>
 
 #include "faults/mc_engine.hpp"
-#include "obs/heartbeat.hpp"
-#include "runner/json.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace eccsim::fleet {
-
-namespace {
-
-/// Spawns `binary` with `args` (argv[1..]); returns the child pid or
-/// throws.  The child replaces itself via execv, so no state of this
-/// process leaks into the worker beyond the command line.
-pid_t spawn(const std::string& binary, const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) throw std::runtime_error("fleet: fork() failed");
-  if (pid == 0) {
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& a : args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execv(binary.c_str(), argv.data());
-    _exit(127);  // exec failed; 127 mirrors the shell's "not found"
-  }
-  return pid;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("fleet: cannot read " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-}  // namespace
-
-std::uint64_t fleet_chunk_count(std::uint64_t nodes, unsigned chunk_size) {
-  return (nodes + chunk_size - 1) / chunk_size;
-}
-
-unsigned fleet_chunk_nodes(std::uint64_t nodes, unsigned chunk_size,
-                           std::uint64_t ci) {
-  const std::uint64_t lo = ci * chunk_size;
-  const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk_size, nodes);
-  return lo < hi ? static_cast<unsigned>(hi - lo) : 0u;
-}
-
-std::uint64_t fleet_run_identity(const FleetSpec& spec, unsigned chunk_size) {
-  return faults::mc_run_identity("fleet:" + config_hash(spec), spec.seed,
-                                 static_cast<unsigned>(spec.total_nodes()),
-                                 chunk_size, kNodeFields);
-}
-
-void compute_unit(const FleetModel& model, std::uint64_t chunk_lo,
-                  std::uint64_t chunk_hi, unsigned chunk_size,
-                  std::ostream& out) {
-  const std::uint64_t nodes = model.nodes();
-  const std::uint64_t run_id = fleet_run_identity(model.spec(), chunk_size);
-  std::vector<double> fields;
-  for (std::uint64_t ci = chunk_lo; ci < chunk_hi; ++ci) {
-    const unsigned count = fleet_chunk_nodes(nodes, chunk_size, ci);
-    fields.assign(static_cast<std::size_t>(count) * kNodeFields, 0.0);
-    for (unsigned j = 0; j < count; ++j) {
-      const std::uint64_t node = ci * chunk_size + j;
-      Rng rng = faults::mc_system_rng(model.spec().seed,
-                                      static_cast<unsigned>(node));
-      model.node_fields(node, rng,
-                        fields.data() + static_cast<std::size_t>(j) *
-                                            kNodeFields);
-    }
-    faults::mc_checkpoint_append(out, run_id, ci, count, fields);
-  }
-}
-
-std::vector<WorkUnit> shard_plan(std::uint64_t nchunks, unsigned shards) {
-  if (shards == 0) shards = 1;
-  std::vector<WorkUnit> plan(shards);
-  const std::uint64_t base = nchunks / shards;
-  const std::uint64_t extra = nchunks % shards;
-  std::uint64_t lo = 0;
-  for (unsigned s = 0; s < shards; ++s) {
-    const std::uint64_t len = base + (s < extra ? 1 : 0);
-    plan[s] = {lo, lo + len};
-    lo += len;
-  }
-  return plan;
-}
 
 Coordinator::Coordinator(const FleetSpec& spec) : model_(spec) {}
 
 FleetResult Coordinator::run(const RunOptions& opts) const {
-  const unsigned chunk_size =
-      opts.chunk_size ? opts.chunk_size : faults::kMcDefaultChunkSize;
-  const std::uint64_t nodes = model_.nodes();
-  const std::uint64_t nchunks = fleet_chunk_count(nodes, chunk_size);
-  const std::uint64_t run_id = fleet_run_identity(model_.spec(), chunk_size);
-  const std::vector<WorkUnit> plan = shard_plan(nchunks, opts.shards);
-  std::vector<std::string> blobs(plan.size());
-
-  if (opts.mode == RunOptions::Mode::kInProcess) {
-    runner::ThreadPool pool(
-        opts.threads ? opts.threads
-                     : runner::ThreadPool::default_thread_count());
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-      pool.submit([this, &plan, &blobs, chunk_size, s] {
-        std::ostringstream os;
-        compute_unit(model_, plan[s].chunk_lo, plan[s].chunk_hi, chunk_size,
-                     os);
-        blobs[s] = os.str();
-      });
-    }
-    pool.wait_idle();
-  } else {
-    if (opts.worker_binary.empty() || opts.work_dir.empty()) {
-      throw std::runtime_error(
-          "fleet: worker-process mode needs worker_binary and work_dir");
-    }
-    std::filesystem::create_directories(opts.work_dir);
-    const std::string spec_path = opts.work_dir + "/spec.json";
-    {
-      std::ofstream out(spec_path, std::ios::binary | std::ios::trunc);
-      out << to_json(model_.spec()).dump(2) << "\n";
-      if (!out) throw std::runtime_error("fleet: cannot write " + spec_path);
-    }
-    std::vector<std::pair<pid_t, std::size_t>> children;
-    std::vector<std::string> unit_paths(plan.size());
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-      if (plan[s].chunk_lo == plan[s].chunk_hi) continue;
-      unit_paths[s] =
-          opts.work_dir + "/unit-" + std::to_string(s) + ".mcchunks";
-      children.emplace_back(
-          spawn(opts.worker_binary,
-                {"--worker", "--spec", spec_path, "--chunk-lo",
-                 std::to_string(plan[s].chunk_lo), "--chunk-hi",
-                 std::to_string(plan[s].chunk_hi), "--chunk-size",
-                 std::to_string(chunk_size), "--out", unit_paths[s]}),
-          s);
-    }
-    for (const auto& [pid, s] : children) {
-      int status = 0;
-      if (::waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-          WEXITSTATUS(status) != 0) {
-        throw std::runtime_error("fleet: worker for unit " +
-                                 std::to_string(s) + " failed");
-      }
-    }
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-      if (!unit_paths[s].empty()) blobs[s] = slurp(unit_paths[s]);
-    }
-  }
-
-  const auto chunk_systems = [&](std::uint64_t ci) {
-    return fleet_chunk_nodes(nodes, chunk_size, ci);
-  };
-  std::unordered_map<std::uint64_t, std::vector<double>> chunks;
-  for (const std::string& blob : blobs) {
-    std::istringstream is(blob);
-    chunks.merge(faults::mc_checkpoint_load(is, run_id, nchunks,
-                                            chunk_systems, kNodeFields));
-  }
-
+  // validate() bounds total_nodes() to unsigned, the engine's index type.
+  const auto nodes = static_cast<unsigned>(model_.nodes());
+  const unsigned shards = std::max(opts.shards, 1u);
+  faults::McOptions mc;
+  mc.threads = opts.threads;
+  mc.chunk_size = static_cast<unsigned>((model_.nodes() + shards - 1) / shards);
   FleetAccumulator acc(model_);
-  for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
-    const auto it = chunks.find(ci);
-    if (it == chunks.end()) {
-      throw std::runtime_error("fleet: work units left chunk " +
-                               std::to_string(ci) + " uncomputed");
-    }
-    const unsigned count = chunk_systems(ci);
-    for (unsigned j = 0; j < count; ++j) {
-      acc.add(ci * chunk_size + j,
-              it->second.data() + static_cast<std::size_t>(j) * kNodeFields);
-    }
-    if (opts.heartbeat && opts.heartbeat->enabled()) {
-      obs::Heartbeat::Tick t;
-      t.phase = "fleet";
-      t.done = ci + 1;
-      t.total = nchunks;
-      t.force = ci + 1 == nchunks;
-      opts.heartbeat->tick(t);
-    }
-  }
+  faults::mc_run(
+      nodes, model_.spec().seed, kNodeFields, "fleet", mc,
+      [this](unsigned node, Rng& rng, double* fields) {
+        model_.node_fields(node, rng, fields);
+      },
+      [&acc](unsigned node, const double* fields) { acc.add(node, fields); });
   return acc.finalize();
 }
 

@@ -8,8 +8,8 @@
 //
 // The split into FleetModel (produces fields) and FleetAccumulator
 // (consumes fields) mirrors the McSystemFn/McMergeFn contract of
-// faults::mc_run: the producer runs on any worker (thread or spawned
-// process), the consumer runs single-threaded in index order, and the
+// faults::mc_run, which drives them: the producer runs on any pool
+// worker, the consumer runs single-threaded in index order, and the
 // final result is a pure function of the ordered field stream -- which is
 // what makes merged output byte-identical at any shard count.
 #pragma once
@@ -29,7 +29,7 @@ class Json;
 
 namespace eccsim::fleet {
 
-/// Fixed per-node field block, the unit of the work-unit envelope:
+/// Fixed per-node field block (the mc_run field layout):
 ///   [0] uncorrected error events over the node lifetime
 ///   [1] time of the first event in hours (+inf when the node never fails)
 ///   [2] downtime hours if every event is repaired (spares permitting)
@@ -144,8 +144,8 @@ class FleetAccumulator {
 
 /// Serializes a FleetResult as an `eccsim.fleet/1` document (see
 /// docs/OBSERVABILITY.md).  Deliberately free of timestamps, shard counts,
-/// and execution-mode fields -- those belong in the manifest -- so the
-/// dump is byte-identical however the run was executed.
+/// and thread counts -- those belong in the manifest -- so the dump is
+/// byte-identical however the run was executed.
 runner::Json result_to_json(const FleetResult& result);
 
 }  // namespace eccsim::fleet

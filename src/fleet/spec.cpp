@@ -199,7 +199,7 @@ std::string validate(const FleetSpec& spec) {
     if (p.fit_per_chip < 0) return where + ": negative fit_per_chip";
     if (!(p.speed_factor > 0)) return where + ": speed_factor <= 0";
   }
-  // The chunked engine and checkpoint envelope index systems as unsigned.
+  // The Monte Carlo engine indexes systems as unsigned.
   if (spec.total_nodes() >
       static_cast<std::uint64_t>(std::numeric_limits<unsigned>::max())) {
     return "fleet spec: total node count exceeds the 2^32-1 budget";

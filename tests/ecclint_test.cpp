@@ -384,7 +384,7 @@ const char* const kLayers =
     "module fleetd     tools/fleetd/\n"
     "allow obs -> common\n"
     "allow faults -> common obs threadpool\n"
-    "allow fleet -> common faults obs json threadpool\n"
+    "allow fleet -> common faults json\n"
     "allow fleetd -> common obs fleet json\n";
 
 std::vector<el::SourceFile> fixture_tree() {
@@ -394,11 +394,8 @@ std::vector<el::SourceFile> fixture_tree() {
       {"src/obs/heartbeat.hpp", "#pragma once\n"},
       {"src/dram/spec.hpp", "#pragma once\n"},
       {"src/faults/mc_engine.hpp", "#pragma once\n"},
-      {"src/fleet/coordinator.cpp",
-       "#include \"faults/mc_engine.hpp\"\n"
-       "#include \"obs/heartbeat.hpp\"\n"
-       "#include \"runner/json.hpp\"\n"
-       "#include \"runner/thread_pool.hpp\"\n"},
+      {"src/fleet/coordinator.cpp", "#include \"faults/mc_engine.hpp\"\n"},
+      {"src/fleet/spec.cpp", "#include \"runner/json.hpp\"\n"},
       {"tools/fleetd/main.cpp",
        "#include \"fleet/coordinator.hpp\"\n"
        "#include \"runner/json.hpp\"\n"},

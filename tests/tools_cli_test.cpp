@@ -109,41 +109,50 @@ TEST(EnvKnobs, HalfParsedNumbersExitWithUsageError) {
 
 // One --stats run leaves one record: the table (CSV + JSON), the merged
 // stats dump and the manifest -- which carries the GF-kernel provenance
-// and the scope profile, so no side file repeats them.
+// and the scope profile, so no side file repeats them.  Checked for every
+// ablation that builds its SystemSims directly: each must hand them a
+// collector, or --stats would dump nothing.
 TEST(RunRecord, StatsRunWritesManifestAndNoSideFiles) {
-  const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "tools_cli_run_record";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const Outcome r = run("cd " + dir.string() + " && ECCSIM_SMOKE=1 " +
-                        ECCSIM_ABLATION_DEGRADED_BINARY + " --stats");
-  ASSERT_EQ(r.exit_code, 0) << r.output;
+  for (const std::string bench :
+       {"ablation_degraded", "ablation_rowpolicy", "ablation_ecc_cache",
+        "ablation_powerdown", "ablation_scrub", "ablation_speedbin"}) {
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / ("run_record_" + bench);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const Outcome r = run("cd " + dir.string() + " && ECCSIM_SMOKE=1 " +
+                          ECCSIM_BENCH_DIR + "/" + bench + " --stats");
+    ASSERT_EQ(r.exit_code, 0) << bench << ": " << r.output;
 
-  std::set<std::string> files;
-  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
-    if (e.is_regular_file()) {
-      files.insert(std::filesystem::relative(e.path(), dir).string());
+    std::set<std::string> files;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+      if (e.is_regular_file()) {
+        files.insert(std::filesystem::relative(e.path(), dir).string());
+      }
     }
-  }
-  const std::set<std::string> expected = {
-      "bench_results/smoke/ablation_degraded.csv",
-      "results/smoke/ablation_degraded.json",
-      "results/smoke/ablation_degraded.manifest.json",
-      "results/smoke/ablation_degraded.stats.json"};
-  EXPECT_EQ(files, expected);
+    const std::set<std::string> expected = {
+        "bench_results/smoke/" + bench + ".csv",
+        "results/smoke/" + bench + ".json",
+        "results/smoke/" + bench + ".manifest.json",
+        "results/smoke/" + bench + ".stats.json"};
+    EXPECT_EQ(files, expected) << bench;
 
-  std::ifstream in(dir / "results/smoke/ablation_degraded.manifest.json");
-  std::stringstream text;
-  text << in.rdbuf();
-  const eccsim::runner::Json m = eccsim::runner::Json::parse(text.str());
-  EXPECT_EQ(m.at("schema").as_string(), "eccsim.manifest/1");
-  EXPECT_EQ(m.at("status").as_string(), "completed");
-  const eccsim::runner::Json& extra = m.at("extra");
-  EXPECT_FALSE(extra.at("kernel").as_string().empty());
-  EXPECT_NE(extra.at("kernels_available").as_string().find("scalar"),
-            std::string::npos);
-  ASSERT_TRUE(m.contains("profile"));
-  EXPECT_GT(m.at("profile").at("dram.scheduler").at("calls").as_number(), 0);
+    std::ifstream in(dir / ("results/smoke/" + bench + ".manifest.json"));
+    std::stringstream text;
+    text << in.rdbuf();
+    const eccsim::runner::Json m = eccsim::runner::Json::parse(text.str());
+    EXPECT_EQ(m.at("schema").as_string(), "eccsim.manifest/1") << bench;
+    EXPECT_EQ(m.at("status").as_string(), "completed") << bench;
+    const eccsim::runner::Json& extra = m.at("extra");
+    EXPECT_FALSE(extra.at("kernel").as_string().empty()) << bench;
+    EXPECT_NE(extra.at("kernels_available").as_string().find("scalar"),
+              std::string::npos)
+        << bench;
+    ASSERT_TRUE(m.contains("profile")) << bench;
+    EXPECT_GT(m.at("profile").at("dram.scheduler").at("calls").as_number(),
+              0)
+        << bench;
+  }
 }
 
 }  // namespace

@@ -67,18 +67,6 @@ int usage(FILE* out, int code) {
   return code;
 }
 
-const char* flag_value(int argc, char** argv, int& i, const char* name) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) == 0) return argv[i] + prefix.size();
-  if (arg != name) return nullptr;
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "benchtool: %s requires a value\n", name);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
 bool executable_exists(const std::string& path) {
   struct stat st{};
   return stat(path.c_str(), &st) == 0 && (st.st_mode & S_IXUSR) != 0;
@@ -152,9 +140,11 @@ int cmd_record(int argc, char** argv) {
       skip_micro = true;
     } else if (arg == "--skip-sweep") {
       skip_sweep = true;
-    } else if ((v = flag_value(argc, argv, i, "--bin")) != nullptr) {
+    } else if ((v = flag_value("benchtool", argc, argv, i,
+                               "--bin")) != nullptr) {
       bin_dir = v;
-    } else if ((v = flag_value(argc, argv, i, "--history")) != nullptr) {
+    } else if ((v = flag_value("benchtool", argc, argv, i,
+                               "--history")) != nullptr) {
       history_dir = v;
     } else {
       std::fprintf(stderr, "benchtool record: unknown flag '%s'\n",
@@ -270,13 +260,16 @@ int cmd_compare(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
-    if ((v = flag_value(argc, argv, i, "--history")) != nullptr) {
+    if ((v = flag_value("benchtool", argc, argv, i, "--history")) != nullptr) {
       history_dir = v;
-    } else if ((v = flag_value(argc, argv, i, "--threshold")) != nullptr) {
+    } else if ((v = flag_value("benchtool", argc, argv, i,
+                               "--threshold")) != nullptr) {
       threshold = parse_double("benchtool", "--threshold", v);
-    } else if ((v = flag_value(argc, argv, i, "--window")) != nullptr) {
+    } else if ((v = flag_value("benchtool", argc, argv, i,
+                               "--window")) != nullptr) {
       window = parse_uint<std::size_t>("benchtool", "--window", v);
-    } else if ((v = flag_value(argc, argv, i, "--min-samples")) != nullptr) {
+    } else if ((v = flag_value("benchtool", argc, argv, i,
+                               "--min-samples")) != nullptr) {
       min_samples = parse_uint<std::size_t>("benchtool", "--min-samples", v);
     } else {
       std::fprintf(stderr, "benchtool compare: unknown flag '%s'\n",
@@ -375,7 +368,8 @@ int cmd_watch(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
-    if ((v = flag_value(argc, argv, i, "--interval-ms")) != nullptr) {
+    if ((v = flag_value("benchtool", argc, argv, i,
+                        "--interval-ms")) != nullptr) {
       interval_ms = parse_uint<std::uint64_t>("benchtool", "--interval-ms", v);
     } else if (arg == "--once") {
       once = true;

@@ -67,19 +67,6 @@ int usage(FILE* out, int code) {
   return code;
 }
 
-/// `--flag value` / `--flag=value`, advancing i; nullptr if arg != flag.
-const char* flag_value(int argc, char** argv, int& i, const char* name) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) == 0) return argv[i] + prefix.size();
-  if (arg != name) return nullptr;
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "tracetool: %s requires a value\n", name);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
 void print_workloads() {
   std::printf("%-14s %-4s %-5s %-7s %-9s %s\n", "workload", "bin", "mt",
               "apki", "write%", "footprint");
@@ -101,18 +88,22 @@ int cmd_record(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
-    if ((v = flag_value(argc, argv, i, "--workload")) != nullptr) {
+    if ((v = flag_value("tracetool", argc, argv, i, "--workload")) != nullptr) {
       workload = v;
     } else if (arg == "--all") {
       all = true;
-    } else if ((v = flag_value(argc, argv, i, "--out")) != nullptr) {
+    } else if ((v = flag_value("tracetool", argc, argv, i,
+                               "--out")) != nullptr) {
       out = v;
-    } else if ((v = flag_value(argc, argv, i, "--ops-per-core")) != nullptr) {
+    } else if ((v = flag_value("tracetool", argc, argv, i,
+                               "--ops-per-core")) != nullptr) {
       ops_per_core =
           parse_uint<std::uint64_t>("tracetool", "--ops-per-core", v);
-    } else if ((v = flag_value(argc, argv, i, "--cores")) != nullptr) {
+    } else if ((v = flag_value("tracetool", argc, argv, i,
+                               "--cores")) != nullptr) {
       cores = parse_uint<unsigned>("tracetool", "--cores", v);
-    } else if ((v = flag_value(argc, argv, i, "--seed")) != nullptr) {
+    } else if ((v = flag_value("tracetool", argc, argv, i,
+                               "--seed")) != nullptr) {
       seed = parse_uint<std::uint64_t>("tracetool", "--seed", v);
     } else {
       std::fprintf(stderr, "tracetool record: unknown flag '%s'\n",
@@ -370,7 +361,7 @@ int cmd_head(int argc, char** argv) {
   const std::string path = argv[2];
   std::uint64_t n = 10;
   for (int i = 3; i < argc; ++i) {
-    const char* v = flag_value(argc, argv, i, "-n");
+    const char* v = flag_value("tracetool", argc, argv, i, "-n");
     if (v != nullptr) {
       n = parse_uint<std::uint64_t>("tracetool", "-n", v);
     } else {
@@ -484,7 +475,7 @@ void print_spec_table(dram::Generation gen) {
 int cmd_specs(int argc, char** argv) {
   std::optional<dram::Generation> only;
   for (int i = 2; i < argc; ++i) {
-    const char* v = flag_value(argc, argv, i, "--dram");
+    const char* v = flag_value("tracetool", argc, argv, i, "--dram");
     if (v != nullptr) {
       only = dram::parse_generation(v);
       if (!only) {
