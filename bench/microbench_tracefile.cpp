@@ -1,20 +1,16 @@
 // google-benchmark microbenchmarks for the .ecctrace subsystem: chunk
 // codec encode/decode, CRC-32, full-file writer/reader throughput, and
 // ReplaySource::next().  Engineering benchmarks for regression tracking,
-// not paper figures.  Besides the console table, results land in
-// results/microbench_tracefile.json (results/smoke/ under ECCSIM_SMOKE=1)
-// in google-benchmark's JSON format; items/s counts trace records
-// (requests), bytes/s counts encoded payload.
+// not paper figures.  items_per_second counts trace records (requests),
+// bytes_per_second counts encoded payload; `--benchmark_out=FILE` writes
+// them as google-benchmark JSON (benchtool record reads that).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "runner/stats_json.hpp"
-#include "runner/runner.hpp"
 #include "trace/workload.hpp"
 #include "tracefile/codec.hpp"
 #include "tracefile/crc32.hpp"
@@ -165,58 +161,4 @@ BENCHMARK(BM_ReplaySourceNext);
 
 }  // namespace
 
-// Console reporter that additionally captures each run so main() can
-// write the machine-readable summary without --benchmark_out plumbing.
-class CapturingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const auto& r : runs) captured_.push_back(r);
-  }
-  const std::vector<Run>& captured() const { return captured_; }
-
- private:
-  std::vector<Run> captured_;
-};
-
-double counter_or_zero(const benchmark::UserCounters& counters,
-                       const char* name) {
-  const auto it = counters.find(name);
-  return it != counters.end() ? static_cast<double>(it->second) : 0.0;
-}
-
-// Custom main: besides the console table, always mirror the run into
-// results/microbench_tracefile.json (results/smoke/ in smoke mode) so the
-// numbers -- requests/s and MB/s per stage -- land next to the other
-// machine-readable artifacts.
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  CapturingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  const char* smoke = std::getenv("ECCSIM_SMOKE");
-  const std::string dir =
-      (smoke != nullptr && std::string(smoke) != "0") ? "results/smoke"
-                                                      : "results";
-  runner::Json doc = runner::Json::object();
-  doc.set("bench", std::string("microbench_tracefile"));
-  doc.set("metadata", runner::to_json(runner::collect_metadata()));
-  runner::Json runs = runner::Json::array();
-  for (const auto& r : reporter.captured()) {
-    runner::Json run = runner::Json::object();
-    run.set("name", r.benchmark_name());
-    run.set("iterations", static_cast<std::uint64_t>(r.iterations));
-    run.set("real_time_s", r.real_accumulated_time);
-    run.set("requests_per_second",
-            counter_or_zero(r.counters, "items_per_second"));
-    run.set("mb_per_second",
-            counter_or_zero(r.counters, "bytes_per_second") /
-                (1024.0 * 1024.0));
-    runs.push_back(std::move(run));
-  }
-  doc.set("runs", runs);
-  runner::write_json(dir + "/microbench_tracefile.json", doc);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -29,9 +29,10 @@ int main(int argc, char** argv) {
 
   // Fleet statistics.
   std::vector<std::vector<faults::FaultEvent>> histories(fleet);
-  faults::parallel_systems(fleet, seed, [&](unsigned i, Rng& rng) {
+  for (unsigned i = 0; i < fleet; ++i) {
+    Rng rng = faults::mc_system_rng(seed, i);
     histories[i] = faults::sample_lifetime(shape, rates, life, rng);
-  });
+  }
 
   std::uint64_t total_faults = 0, saturating = 0;
   unsigned busiest = 0;

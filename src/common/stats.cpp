@@ -20,6 +20,7 @@ void RunningStat::merge(const RunningStat& other) {
   m2_ += other.m2_ + delta * delta * na * nb / nt;
   mean_ += delta * nb / nt;
   n_ += other.n_;
+  sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }

@@ -14,11 +14,13 @@
 namespace eccsim {
 
 /// Single-pass mean / variance / min / max accumulator (Welford's method,
-/// numerically stable).
+/// numerically stable) that also keeps the exact running sum.  The stat
+/// registry's distribution kind (stats::Registry) is one of these.
 class RunningStat {
  public:
   void add(double x) {
     ++n_;
+    sum_ += x;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
     m2_ += delta * (x - mean_);
@@ -27,6 +29,7 @@ class RunningStat {
   }
 
   std::size_t count() const { return n_; }
+  double sum() const { return sum_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
@@ -40,6 +43,7 @@ class RunningStat {
 
  private:
   std::size_t n_ = 0;
+  double sum_ = 0.0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

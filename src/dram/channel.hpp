@@ -290,7 +290,7 @@ class Channel {
     stats::Counter* refreshes = nullptr;
     std::vector<stats::Counter*> bank_acts;  ///< rank-major, banks minor
     stats::Histogram* read_latency = nullptr;
-    stats::Distribution* queue_depth = nullptr;
+    RunningStat* queue_depth = nullptr;
   };
   std::unique_ptr<StatHooks> hooks_;
   stats::Tracer* tracer_ = nullptr;

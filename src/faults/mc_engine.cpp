@@ -134,7 +134,7 @@ struct McStats {
   stats::Counter* chunks_loaded = nullptr;
   stats::Counter* chunks_skipped = nullptr;
   stats::Counter* early_stops = nullptr;
-  stats::Distribution* chunk_seconds = nullptr;
+  RunningStat* chunk_seconds = nullptr;
 
   explicit McStats(stats::Registry* reg) {
     if (reg == nullptr) return;
@@ -376,32 +376,6 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
     opts.stats->add_series("mc.rel_ci." + tag, std::move(ci_series));
   }
   return info;
-}
-
-void parallel_systems(unsigned systems, std::uint64_t seed,
-                      const std::function<void(unsigned, Rng&)>& fn) {
-  const unsigned threads = runner::ThreadPool::default_thread_count();
-  if (threads <= 1 || systems <= 1 ||
-      runner::ThreadPool::on_worker_thread()) {
-    for (unsigned i = 0; i < systems; ++i) {
-      Rng rng = mc_system_rng(seed, i);
-      fn(i, rng);
-    }
-    return;
-  }
-  const unsigned chunk = kMcDefaultChunkSize;
-  const unsigned nchunks = (systems + chunk - 1) / chunk;
-  runner::ThreadPool pool(std::min(threads, nchunks));
-  for (unsigned ci = 0; ci < nchunks; ++ci) {
-    pool.submit([&, ci] {
-      const unsigned hi = std::min(systems, (ci + 1) * chunk);
-      for (unsigned i = ci * chunk; i < hi; ++i) {
-        Rng rng = mc_system_rng(seed, i);
-        fn(i, rng);
-      }
-    });
-  }
-  pool.wait_idle();
 }
 
 }  // namespace eccsim::faults

@@ -126,14 +126,4 @@ McRunInfo mc_run(unsigned systems, std::uint64_t seed, std::size_t nfields,
                  const McSystemFn& fn, const McMergeFn& merge,
                  const McRelCiFn& rel_ci = nullptr);
 
-/// Deterministic parallel map over system indices: runs
-/// fn(system_index, rng) for each index in [0, systems) across the shared
-/// pool, each index seeded from mc_system_rng(seed, index).  The index
-/// visit *set* is thread-count independent; the visit *order* is not, so
-/// `fn` must either be independent per index or do its own (order
-/// insensitive) aggregation.  Prefer mc_run for anything that reduces to
-/// statistics.
-void parallel_systems(unsigned systems, std::uint64_t seed,
-                      const std::function<void(unsigned, Rng&)>& fn);
-
 }  // namespace eccsim::faults

@@ -37,9 +37,12 @@ Json to_json(const stats::Registry& reg) {
     Json s = Json::object();
     s.set("kind", kind_name(entry.kind));
     if (entry.dist != nullptr) {
-      s.set("count", entry.dist->count());
+      // The mean comes from the exact sum, so merged registries serialize
+      // identically in any merge order.
+      const auto n = entry.dist->count();
+      s.set("count", n);
       s.set("sum", entry.dist->sum());
-      s.set("mean", entry.dist->mean());
+      s.set("mean", n ? entry.dist->sum() / static_cast<double>(n) : 0.0);
       s.set("min", entry.dist->min());
       s.set("max", entry.dist->max());
     } else if (entry.hist != nullptr) {

@@ -14,31 +14,6 @@
 
 namespace eccsim::stats {
 
-// --- Distribution ----------------------------------------------------------
-
-void Distribution::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-}
-
-void Distribution::merge(const Distribution& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 // --- Histogram -------------------------------------------------------------
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -133,7 +108,7 @@ Accum* Registry::accum(const std::string& path) {
   return &accums_.back();
 }
 
-Distribution* Registry::distribution(const std::string& path) {
+RunningStat* Registry::distribution(const std::string& path) {
   if (const Entry* e = find(path)) {
     if (e->kind != Kind::kDistribution) {
       throw std::invalid_argument("Registry: path '" + path +

@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.hpp"
+
 namespace eccsim::stats {
 
 /// Monotone event counter.  The only hot-path push stat: one increment.
@@ -49,27 +51,6 @@ class Accum {
 
  private:
   double value_ = 0;
-};
-
-/// Count / sum / min / max summary of a stream of samples.
-class Distribution {
- public:
-  void add(double x);
-  void merge(const Distribution& other);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
 };
 
 /// Fixed-width linear histogram over [lo, hi); out-of-range samples clamp
@@ -121,7 +102,7 @@ class Registry {
 
   Counter* counter(const std::string& path);
   Accum* accum(const std::string& path);
-  Distribution* distribution(const std::string& path);
+  RunningStat* distribution(const std::string& path);
   Histogram* histogram(const std::string& path, double lo, double hi,
                        std::size_t bins);
   /// Registers a polled gauge.  Re-registering an existing gauge path
@@ -171,7 +152,9 @@ class Registry {
   /// and accums sum, distributions and histograms merge.  Gauges, epoch
   /// series, and derived series are per-run artifacts and are skipped.
   /// Merging is order-independent (commutative and associative), so a
-  /// 1-thread and an N-thread reduction produce identical values.
+  /// 1-thread and an N-thread reduction produce identical values; for a
+  /// distribution that holds for the count, sum, min and max, which is
+  /// all the serializer reads.
   /// Throws std::invalid_argument on a path registered with different
   /// kinds (or different histogram shapes) in the two registries.
   void merge(const Registry& other);
@@ -182,7 +165,7 @@ class Registry {
     Kind kind;
     double value;  ///< final cumulative value (sampled kinds)
     const std::vector<double>* epochs;  ///< sampled kinds; may be empty
-    const Distribution* dist;           ///< kDistribution only
+    const RunningStat* dist;            ///< kDistribution only
     const Histogram* hist;              ///< kHistogram only
   };
   /// One view per registered stat, in registration order.  Gauge values
@@ -213,7 +196,7 @@ class Registry {
   std::deque<Counter> counters_;
   std::deque<Accum> accums_;
   std::deque<GaugeFn> gauges_;
-  std::deque<Distribution> distributions_;
+  std::deque<RunningStat> distributions_;
   std::deque<Histogram> histograms_;
 
   std::uint64_t epoch_cycles_ = 0;

@@ -1,6 +1,5 @@
 // Flag handling of the shared bench front-end: unknown flags must be
-// rejected with exit code 2 and a pointer at --help, --help and
-// --list-workloads must succeed, --trace-point must validate its value,
+// rejected with exit code 2 and a pointer at --help, --help must succeed,
 // and the numeric --mc-* / --stats-epoch flags and their env knobs must be
 // whole numbers.
 // Death tests: init() terminates the process on these paths.
@@ -36,19 +35,9 @@ TEST(BenchFlagsDeathTest, HelpExitsCleanly) {
   EXPECT_EXIT(run_init({"--help"}), ::testing::ExitedWithCode(0), "");
 }
 
-TEST(BenchFlagsDeathTest, ListWorkloadsExitsCleanly) {
-  EXPECT_EXIT(run_init({"--list-workloads"}), ::testing::ExitedWithCode(0),
-              "");
-}
-
 TEST(BenchFlagsDeathTest, MissingFlagValueRejected) {
   EXPECT_EXIT(run_init({"--mc-systems"}), ::testing::ExitedWithCode(2),
               "requires a value");
-}
-
-TEST(BenchFlagsDeathTest, BadTracePointRejected) {
-  EXPECT_EXIT(run_init({"--trace-point", "sideways"}),
-              ::testing::ExitedWithCode(2), "'pre' or 'post'");
 }
 
 TEST(BenchFlagsDeathTest, UnknownDramGenerationRejected) {
@@ -118,15 +107,13 @@ TEST(BenchFlagsDeathTest, TelemetryFlagsAccepted) {
       ::testing::ExitedWithCode(0), "");
 }
 
-TEST(BenchFlagsDeathTest, TracePointValuesAccepted) {
-  // Valid trace points parse without touching the rejection paths; init()
-  // returns normally, so the child must run to completion (exit 0).
-  EXPECT_EXIT(
-      {
-        run_init({"--trace-point", "post"});
-        std::exit(0);
-      },
-      ::testing::ExitedWithCode(0), "");
+TEST(BenchFlagsDeathTest, RecordingFlagsAreUnknown) {
+  // Recording and workload listing belong to tracetool.
+  for (const char* flag :
+       {"--trace-out", "--trace-point", "--list-workloads"}) {
+    EXPECT_EXIT(run_init({flag, "x"}), ::testing::ExitedWithCode(2),
+                "unknown flag");
+  }
 }
 
 TEST(BenchFlagsDeathTest, HalfParsedMcFlagsRejected) {

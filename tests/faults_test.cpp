@@ -3,7 +3,6 @@
 // models for the paper's reliability figures.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "common/units.hpp"
@@ -56,11 +55,12 @@ TEST(Sampling, EventCountMatchesExpectation) {
   const double lifetime = 7 * units::kHoursPerYear;
   const double expected =
       units::fit_to_per_hour(rates.total()) * shape.total_chips() * lifetime;
-  std::atomic<std::uint64_t> total{0};
+  std::uint64_t total = 0;
   const unsigned systems = 4000;
-  parallel_systems(systems, 99, [&](unsigned, Rng& rng) {
+  for (unsigned i = 0; i < systems; ++i) {
+    Rng rng = mc_system_rng(99, i);
     total += sample_lifetime(shape, rates, lifetime, rng).size();
-  });
+  }
   const double mean = static_cast<double>(total) / systems;
   EXPECT_NEAR(mean, expected, expected * 0.05);
 }
@@ -180,12 +180,6 @@ TEST(HpcStall, ScalesWithNicBandwidth) {
   fast.nic_bandwidth_bytes_per_s *= 10;
   EXPECT_LT(hpc_stall_fraction(fast, ddr3_vendor_average()),
             hpc_stall_fraction(HpcStallParams{}, ddr3_vendor_average()));
-}
-
-TEST(ParallelSystems, VisitsEveryIndexOnce) {
-  std::vector<std::atomic<int>> counts(257);
-  parallel_systems(257, 1, [&](unsigned i, Rng&) { ++counts[i]; });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -62,10 +63,17 @@ HeartbeatConfig status_config(const std::string& path,
   return cfg;
 }
 
+/// A progress tick with no rel-CI, no counters and no force.
+Heartbeat::Tick plain_tick(const char* phase, std::uint64_t done,
+                           std::uint64_t total) {
+  return {phase, done, total, std::numeric_limits<double>::quiet_NaN(), {},
+          false};
+}
+
 TEST(Heartbeat, DisabledByDefaultAndSkipsTicks) {
   Heartbeat hb;
   EXPECT_FALSE(hb.enabled());
-  hb.tick({"phase", 1, 10});
+  hb.tick(plain_tick("phase", 1, 10));
   EXPECT_EQ(hb.snapshots_written(), 0u);
 }
 
@@ -94,9 +102,9 @@ TEST(Heartbeat, PublishesParsableSnapshotWithSchema) {
 TEST(Heartbeat, FinalTickMarksFinalAndSeqIncreases) {
   const std::string path = ::testing::TempDir() + "/obs_hb_final.json";
   Heartbeat hb(status_config(path));
-  hb.tick({"run", 1, 4});
-  hb.tick({"run", 2, 4});
-  hb.tick({"run", 4, 4});
+  hb.tick(plain_tick("run", 1, 4));
+  hb.tick(plain_tick("run", 2, 4));
+  hb.tick(plain_tick("run", 4, 4));
   EXPECT_EQ(hb.snapshots_written(), 3u);
   const runner::Json doc = runner::Json::parse(slurp(path));
   EXPECT_TRUE(doc.at("final").as_bool());
@@ -109,7 +117,7 @@ TEST(Heartbeat, IntervalThrottleDropsIntermediateTicks) {
   // An hour-long interval: only the first tick and the forced/final ones
   // may publish.
   Heartbeat hb(status_config(path, 3'600'000));
-  for (std::uint64_t i = 1; i <= 50; ++i) hb.tick({"run", i, 100});
+  for (std::uint64_t i = 1; i <= 50; ++i) hb.tick(plain_tick("run", i, 100));
   EXPECT_EQ(hb.snapshots_written(), 1u);
   Heartbeat::Tick forced;
   forced.phase = "run";
@@ -117,7 +125,7 @@ TEST(Heartbeat, IntervalThrottleDropsIntermediateTicks) {
   forced.total = 100;
   forced.force = true;
   hb.tick(forced);
-  hb.tick({"run", 100, 100});  // final: bypasses the throttle too
+  hb.tick(plain_tick("run", 100, 100));  // final: bypasses the throttle too
   EXPECT_EQ(hb.snapshots_written(), 3u);
   std::remove(path.c_str());
 }
@@ -154,7 +162,7 @@ TEST(Heartbeat, RelCiSeriesResetsOnPhaseChange) {
 TEST(Heartbeat, ConcurrentReaderNeverSeesTornSnapshot) {
   const std::string path = ::testing::TempDir() + "/obs_hb_torn.json";
   Heartbeat hb(status_config(path));
-  hb.tick({"warmup", 1, 1000});  // file exists before readers start
+  hb.tick(plain_tick("warmup", 1, 1000));  // file exists before readers start
 
   std::atomic<bool> stop{false};
   std::atomic<int> parsed{0};

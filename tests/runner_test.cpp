@@ -300,17 +300,5 @@ TEST(ReportJsonTest, RoundTripCarriesAllCells) {
   std::filesystem::remove(path);
 }
 
-TEST(MetadataTest, CollectsGitShaAndThreads) {
-  const RunMetadata meta = collect_metadata();
-  EXPECT_GE(meta.threads, 1u);
-  // In a checkout this is a 40-hex SHA; outside one it is "unknown".
-  if (meta.git_sha != "unknown") {
-    EXPECT_EQ(meta.git_sha.size(), 40u);
-  }
-  const Json j = to_json(meta);
-  EXPECT_TRUE(j.contains("git_sha"));
-  EXPECT_TRUE(j.contains("timestamp"));
-}
-
 }  // namespace
 }  // namespace eccsim::runner

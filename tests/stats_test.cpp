@@ -61,8 +61,9 @@ TEST(Registry, PointersSurviveManyRegistrations) {
   EXPECT_EQ(reg.value("c0"), 1.0);
 }
 
+// The registry's distribution kind is eccsim::RunningStat.
 TEST(Distribution, TracksMomentsAndExtremes) {
-  Distribution d;
+  RunningStat d;
   EXPECT_EQ(d.count(), 0u);
   EXPECT_DOUBLE_EQ(d.mean(), 0.0);
   for (double x : {4.0, 1.0, 7.0}) d.add(x);
@@ -161,7 +162,7 @@ Registry make_shard(std::uint64_t counter_n, double accum_x,
   Registry reg;
   reg.counter("c")->inc(counter_n);
   reg.accum("a")->add(accum_x);
-  Distribution* d = reg.distribution("lat");
+  RunningStat* d = reg.distribution("lat");
   Histogram* h = reg.histogram("hist", 0, 100, 10);
   for (double s : samples) {
     d->add(s);

@@ -190,8 +190,7 @@ int cmd_record(int argc, char** argv) {
       }
       const std::string tmp =
           history_dir + "/." + std::string(name) + ".gbench.json";
-      // --benchmark_out is honored even by the microbenches' custom
-      // display reporters; min_time keeps a record run under ~15s.
+      // min_time keeps a record run under ~15s.
       const int rc = run_command(bin + " --benchmark_out=" + tmp +
                                      " --benchmark_out_format=json" +
                                      " --benchmark_min_time=0.05",
